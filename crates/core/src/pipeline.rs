@@ -13,9 +13,8 @@ use hifi_data::Chip;
 use hifi_extract::{measure, ExtractError, Extraction, MeasurementConfidence, MeasurementReport};
 use hifi_faults::{Exhausted, FaultPlan, FaultSpec, RetryError, RetryPolicy, VirtualClock};
 use hifi_imaging::{
-    acquire_profiled, acquire_tiled_profiled, acquire_with_recovery_profiled,
-    acquire_with_recovery_tiled_profiled, align_with, denoise_profiled, metrics, reconstruct,
-    reconstruct_tiled, render_ideal_profiled, AcquireOutcome, AlignMethod, ImagingConfig,
+    acquire_with, align_with, denoise_profiled, metrics, reconstruct, reconstruct_tiled,
+    render_ideal, AcquireOpts, AlignMethod, ImagingConfig, Recovery,
 };
 use hifi_store::fingerprint::salts;
 use hifi_store::{
@@ -360,7 +359,7 @@ impl Pipeline {
         if cfg.faults.as_ref().is_some_and(FaultSpec::is_enabled) {
             label.push_str("+faults");
         }
-        if cfg.store.is_some() {
+        if cfg.store_handle.is_some() || self.store_root().is_some() {
             label.push_str("+store");
         }
         label
@@ -387,39 +386,36 @@ impl Pipeline {
         }
     }
 
+    /// The store root a run without a shared handle opens: the config's
+    /// path, else the `HIFI_STORE` environment variable.
+    fn store_root(&self) -> Option<PathBuf> {
+        self.config.store.clone().or_else(|| {
+            std::env::var_os("HIFI_STORE")
+                .filter(|v| !v.is_empty())
+                .map(PathBuf::from)
+        })
+    }
+
     /// Resolves the artifact store for this run: a shared handle if the
-    /// caller provided one, else the config's path, else the `HIFI_STORE`
-    /// environment variable, else caching off. The run's fault plan (if
-    /// any) is attached so store I/O participates in injection.
+    /// caller provided one, else [`Self::store_root`], else caching off.
+    /// The run's fault plan (if any) is attached so store I/O participates
+    /// in injection.
     fn resolve_store(
         &self,
         plan: Option<&Arc<FaultPlan>>,
     ) -> Result<Option<ArtifactStore>, PipelineError> {
-        if let Some(handle) = &self.config.store_handle {
-            // Clone the cheap handle (PathBuf + Arcs), then attach this
-            // run's plan: fault salting stays per-run even though the
-            // underlying store directory is shared.
-            let mut store = (**handle).clone();
-            if let Some(plan) = plan {
-                store = store.with_fault_plan(plan.clone());
-            }
-            return Ok(Some(store));
-        }
-        let path = self.config.store.clone().or_else(|| {
-            std::env::var_os("HIFI_STORE")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-        });
-        Ok(match path {
-            Some(p) => {
-                let mut store = ArtifactStore::open(p)?;
-                if let Some(plan) = plan {
-                    store = store.with_fault_plan(plan.clone());
-                }
-                Some(store)
-            }
-            None => None,
-        })
+        // A shared handle is cloned cheaply (PathBuf + Arcs) and then gets
+        // this run's plan: fault salting stays per-run even though the
+        // underlying store directory is shared.
+        let store = match (&self.config.store_handle, self.store_root()) {
+            (Some(handle), _) => (**handle).clone(),
+            (None, Some(root)) => ArtifactStore::open(root)?,
+            (None, None) => return Ok(None),
+        };
+        Ok(Some(match plan {
+            Some(plan) => store.with_fault_plan(plan.clone()),
+            None => store,
+        }))
     }
 
     /// [`Pipeline::run`] recording into an arbitrary [`Recorder`].
@@ -451,13 +447,14 @@ impl Pipeline {
         }
         // A fresh plan per run: injection is a pure function of the spec,
         // so repeated runs of one config see exactly the same faults.
-        let ctx = FaultCtx {
-            plan: cfg.faults.clone().map(|s| Arc::new(FaultPlan::new(s))),
+        let plan = cfg.faults.clone().map(|s| Arc::new(FaultPlan::new(s)));
+        let ctx = StageCtx {
+            store: self.resolve_store(plan.as_ref())?,
+            plan,
             policy: cfg.retry.clone(),
             clock: VirtualClock::new(),
             backoffs: RefCell::new(Vec::new()),
         };
-        let store = self.resolve_store(ctx.plan.as_ref())?;
         // Per-slice lane profiling and the allocation high-water mark are
         // collected only for instrumented runs; a NoopRecorder run skips
         // both entirely (the <2% overhead budget).
@@ -480,92 +477,57 @@ impl Pipeline {
             vox_fp.key(fault_fingerprint(spec));
         }
         let vox_key = vox_fp.finish();
-        let pristine = match fetch(&store, &ctx, rec, vox_key, "voxelize", codec::decode_volume)? {
-            Some(v) => v,
-            None => {
-                let v = guarded(&ctx, "voxelize", || {
+        let pristine = ctx.cached(
+            rec,
+            vox_key,
+            "voxelize",
+            codec::decode_volume,
+            codec::encode_volume,
+            |rec| {
+                ctx.guarded("voxelize", || {
                     with_span(rec, "voxelize", |_| match cfg.tile_x {
                         Some(t) => region.voxelize_tiled(t),
                         None => region.voxelize(),
                     })
-                })?;
-                persist(&store, &ctx, rec, vox_key, "voxelize", || {
-                    codec::encode_volume(&v)
-                })?;
-                v
-            }
-        };
+                })
+            },
+        )?;
 
-        let (volume, corrections, upstream_key, degraded_slices, total_slices) = match &cfg.imaging
-        {
-            None => (pristine, Vec::new(), vox_key, Vec::new(), 0),
+        // `confidence` is set when acquisition degraded slices; the
+        // measurement inherits it.
+        let (volume, corrections, upstream_key, confidence) = match &cfg.imaging {
+            None => (pristine, Vec::new(), vox_key, None),
             Some(imaging_cfg) => {
                 let acq_key = stage(salts::ACQUIRE, vox_key)
                     .key(imaging_fingerprint(imaging_cfg))
                     .finish();
-                let (mut stack, truth, degraded_slices) = match fetch(
-                    &store,
-                    &ctx,
+                let (stack, truth, degraded_slices) = ctx.cached(
                     rec,
                     acq_key,
                     "acquire",
                     codec::decode_acquisition,
-                )? {
-                    Some(triple) => triple,
-                    None => {
-                        let outcome = with_span(rec, "acquire", |_| {
-                            match (ctx.plan.as_deref(), cfg.tile_x) {
-                                (Some(plan), Some(t)) => acquire_with_recovery_tiled_profiled(
-                                    &pristine,
-                                    imaging_cfg,
-                                    plan,
-                                    &ctx.policy,
-                                    &ctx.clock,
-                                    t,
-                                    lanes.as_ref(),
-                                ),
-                                (Some(plan), None) => acquire_with_recovery_profiled(
-                                    &pristine,
-                                    imaging_cfg,
-                                    plan,
-                                    &ctx.policy,
-                                    &ctx.clock,
-                                    lanes.as_ref(),
-                                ),
-                                (None, tile) => {
-                                    let (stack, truth) = match tile {
-                                        Some(t) => acquire_tiled_profiled(
-                                            &pristine,
-                                            imaging_cfg,
-                                            t,
-                                            lanes.as_ref(),
-                                        ),
-                                        None => {
-                                            acquire_profiled(&pristine, imaging_cfg, lanes.as_ref())
-                                        }
-                                    };
-                                    AcquireOutcome {
-                                        stack,
-                                        truth,
-                                        degraded_slices: Vec::new(),
-                                    }
-                                }
-                            }
+                    |(stack, truth, degraded)| codec::encode_acquisition(stack, truth, degraded),
+                    |rec| {
+                        let recovery = ctx.plan.as_deref().map(|plan| Recovery {
+                            plan,
+                            policy: &ctx.policy,
+                            clock: &ctx.clock,
                         });
-                        persist(&store, &ctx, rec, acq_key, "acquire", || {
-                            codec::encode_acquisition(
-                                &outcome.stack,
-                                &outcome.truth,
-                                &outcome.degraded_slices,
-                            )
-                        })?;
-                        (outcome.stack, outcome.truth, outcome.degraded_slices)
-                    }
-                };
+                        let opts = AcquireOpts {
+                            tile_x: cfg.tile_x,
+                            recovery,
+                            lanes: lanes.as_ref(),
+                        };
+                        let out = with_span(rec, "acquire", |_| {
+                            acquire_with(&pristine, imaging_cfg, &opts)
+                        });
+                        Ok((out.stack, out.truth, out.degraded_slices))
+                    },
+                )?;
                 // Fidelity baseline: mean per-slice PSNR of the raw
                 // acquisition against what a perfect microscope would see.
                 let ideal = if rec.enabled() {
-                    let ideal = render_ideal_profiled(&pristine, imaging_cfg, lanes.as_ref());
+                    let ideal = render_ideal(&pristine, imaging_cfg, lanes.as_ref());
                     rec.gauge(names::PSNR_NOISY, mean_stack_psnr(&stack, &ideal));
                     Some(ideal)
                 } else {
@@ -576,19 +538,14 @@ impl Pipeline {
                     .u64(cfg.denoise_iterations as u64)
                     .i64(i64::from(cfg.align_window))
                     .finish();
-                let corrections = match fetch(
-                    &store,
-                    &ctx,
+                let (stack, corrections) = ctx.cached(
                     rec,
                     post_key,
                     "postproc",
                     codec::decode_processed,
-                )? {
-                    Some((processed, corrections)) => {
-                        stack = processed;
-                        corrections
-                    }
-                    None => {
+                    |(stack, corrections)| codec::encode_processed(stack, corrections),
+                    |rec| {
+                        let mut stack = stack;
                         with_span(rec, "normalize", |_| stack.normalize_brightness());
                         // Alignment first (registration uses median-filtered
                         // copies internally), then light TV denoising.
@@ -612,24 +569,18 @@ impl Pipeline {
                                 lanes.as_ref(),
                             )
                         });
-                        persist(&store, &ctx, rec, post_key, "postproc", || {
-                            codec::encode_processed(&stack, &corrections)
-                        })?;
-                        corrections
-                    }
-                };
+                        Ok((stack, corrections))
+                    },
+                )?;
                 let recon_key = stage(salts::RECONSTRUCT, post_key).finish();
-                let volume = match fetch(
-                    &store,
-                    &ctx,
+                let volume = ctx.cached(
                     rec,
                     recon_key,
                     "reconstruct",
                     codec::decode_volume,
-                )? {
-                    Some(v) => v,
-                    None => {
-                        let v = guarded(&ctx, "reconstruct", || {
+                    codec::encode_volume,
+                    |rec| {
+                        ctx.guarded("reconstruct", || {
                             with_span(rec, "reconstruct", |_| match cfg.tile_x {
                                 // A tile of `tile_x` voxel columns holds
                                 // `tile_x / slice_voxels` slices' worth of
@@ -640,13 +591,9 @@ impl Pipeline {
                                 }
                                 None => reconstruct(&stack),
                             })
-                        })?;
-                        persist(&store, &ctx, rec, recon_key, "reconstruct", || {
-                            codec::encode_volume(&v)
-                        })?;
-                        v
-                    }
-                };
+                        })
+                    },
+                )?;
                 if let Some(ideal) = &ideal {
                     rec.gauge(names::PSNR_DENOISED, mean_stack_psnr(&stack, ideal));
                     rec.gauge(
@@ -663,33 +610,25 @@ impl Pipeline {
                         metrics::alignment_budget_px(slice_height),
                     );
                 }
-                let total_slices = stack.len();
-                (
-                    volume,
-                    corrections,
-                    recon_key,
-                    degraded_slices,
-                    total_slices,
-                )
+                let confidence = (!degraded_slices.is_empty())
+                    .then(|| MeasurementConfidence::degraded(degraded_slices, stack.len()));
+                (volume, corrections, recon_key, confidence)
             }
         };
 
         let ext_key = stage(salts::EXTRACT, upstream_key)
             .u64(cfg.window_pair as u64)
             .finish();
-        let (extraction, cached_measurement) = match fetch(
-            &store,
-            &ctx,
+        let (extraction, measurement) = ctx.cached(
             rec,
             ext_key,
             "extract",
             codec::decode_extraction,
-        )? {
-            Some((extraction, measurement)) => (extraction, Some(measurement)),
-            None => {
-                // Crop to one cell's SA window, as the analyst crops
-                // the ROI. A volume that stops short of the window is a
-                // typed error, not a panic (degenerate reconstructions).
+            |(extraction, measurement)| codec::encode_extraction(extraction, measurement),
+            |rec| {
+                // Crop to one cell's SA window, as the analyst crops the
+                // ROI. A volume that stops short of the window is a typed
+                // error, not a panic (degenerate reconstructions).
                 let cropped = with_span(rec, "crop", |_| {
                     region.window_volume(&volume, cfg.window_pair)
                 });
@@ -700,36 +639,26 @@ impl Pipeline {
                         volume_dims: (nx, ny),
                     }
                 })?;
-                let extraction = guarded(&ctx, "extract", || {
+                let extraction = ctx.guarded("extract", || {
                     with_span(rec, "extract", |rec| {
                         hifi_extract::extract_with(&cropped, rec)
                     })
                 })??;
-                (extraction, None)
-            }
-        };
-        let ext_was_cached = cached_measurement.is_some();
+                // The measurement is cached with the netlist.
+                let measurement = with_span(rec, "measure", |_| {
+                    let mut m = measure(&extraction);
+                    if let Some(confidence) = confidence {
+                        m.confidence = confidence;
+                    }
+                    m
+                });
+                Ok((extraction, measurement))
+            },
+        )?;
         let identified = with_span(rec, "identify", |_| {
             TopologyLibrary::standard().identify(&extraction.netlist)
         });
-        let (measurement, worst) = with_span(rec, "measure", |_| {
-            // Cached extractions carry their confidence in the blob; fresh
-            // ones inherit it from this run's degraded slices (if any).
-            let measurement = cached_measurement.unwrap_or_else(|| {
-                let mut m = measure(&extraction);
-                if !degraded_slices.is_empty() {
-                    m.confidence = MeasurementConfidence::degraded(degraded_slices, total_slices);
-                }
-                m
-            });
-            let worst = measurement.worst_deviation(&region.ground_truth().cell.dims_by_class);
-            (measurement, worst)
-        });
-        if !ext_was_cached {
-            persist(&store, &ctx, rec, ext_key, "extract", || {
-                codec::encode_extraction(&extraction, &measurement)
-            })?;
-        }
+        let worst = measurement.worst_deviation(&region.ground_truth().cell.dims_by_class);
         if let Some(w) = &worst {
             rec.gauge(names::WORST_DIMENSION_DEVIATION, w.value());
         }
@@ -783,9 +712,11 @@ impl Pipeline {
     }
 }
 
-/// The per-run fault machinery: the plan (if injection is configured),
-/// the retry policy, and the virtual clock that backoff waits advance.
-struct FaultCtx {
+/// What the cached stages of one run share: the artifact store (if
+/// caching is on), the fault plan (if injection is configured), the retry
+/// policy, and the virtual clock that backoff waits advance.
+struct StageCtx {
+    store: Option<ArtifactStore>,
     plan: Option<Arc<FaultPlan>>,
     policy: RetryPolicy,
     clock: VirtualClock,
@@ -794,20 +725,121 @@ struct FaultCtx {
     backoffs: RefCell<Vec<Duration>>,
 }
 
-impl FaultCtx {
-    /// Runs a store operation under the retry policy. Transient failures
-    /// (injected or environmental, per [`StoreError::is_transient`]) back
-    /// off on the virtual clock and feed the plan's recovery tallies;
-    /// non-transient ones surface immediately as [`PipelineError::Store`].
-    fn retrying<T>(
+impl StageCtx {
+    /// Runs one cached pipeline stage: fetch → compute → persist. Without
+    /// a store this is just `compute`. With one, the artifact under `key`
+    /// is decoded and replayed on a hit; on a miss `compute` runs and its
+    /// result is encoded and persisted. A blob that passes the store
+    /// checksum but fails to decode (written by an incompatible build)
+    /// counts as a miss and is recomputed. Store I/O retries transient
+    /// failures (injected or environmental, per
+    /// [`StoreError::is_transient`]) at the sites `store.get:<what>` and
+    /// `store.put:<what>`; other I/O failures surface as
+    /// [`PipelineError::Store`]. Records the hit/miss, byte and latency
+    /// metrics.
+    fn cached<R: Recorder, T>(
+        &self,
+        rec: &mut R,
+        key: Key,
+        what: &str,
+        decode: impl FnOnce(&[u8]) -> Result<T, hifi_store::CodecError>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+        compute: impl FnOnce(&mut R) -> Result<T, PipelineError>,
+    ) -> Result<T, PipelineError> {
+        let Some(store) = &self.store else {
+            return compute(rec);
+        };
+        let t0 = rec.enabled().then(Instant::now);
+        let got = self.retrying(
+            &format!("store.get:{what}"),
+            StoreError::is_transient,
+            PipelineError::Store,
+            || store.get(key),
+        )?;
+        if let Some(t0) = t0 {
+            rec.histogram(names::HIST_STORE_GET_US, t0.elapsed().as_micros() as u64);
+        }
+        if let Some((Ok(value), len)) = got.map(|bytes| (decode(&bytes), bytes.len() as u64)) {
+            rec.counter(names::STORE_HIT, 1);
+            rec.counter(names::STORE_BYTES_READ, len);
+            rec.histogram(names::HIST_STORE_GET_BYTES, len);
+            return Ok(value);
+        }
+        rec.counter(names::STORE_MISS, 1);
+        let value = compute(rec)?;
+        let bytes = encode(&value);
+        let t0 = rec.enabled().then(Instant::now);
+        self.retrying(
+            &format!("store.put:{what}"),
+            StoreError::is_transient,
+            PipelineError::Store,
+            || store.put(key, &bytes),
+        )?;
+        if let Some(t0) = t0 {
+            rec.histogram(names::HIST_STORE_PUT_US, t0.elapsed().as_micros() as u64);
+            rec.histogram(names::HIST_STORE_PUT_BYTES, bytes.len() as u64);
+        }
+        rec.counter(names::STORE_BYTES_WRITTEN, bytes.len() as u64);
+        Ok(value)
+    }
+
+    /// Runs a pure stage under the stage-panic guard. With no plan attached
+    /// the stage runs bare; with one, the plan may trip an injected panic
+    /// at site `stage:<stage_name>` and the unwind is caught and retried as
+    /// a transient failure. Injected panics fire *before* the stage body
+    /// (see [`FaultPlan::trip_stage`]), so nothing is half-mutated when the
+    /// unwind crosses the `AssertUnwindSafe`. Only pure stages are guarded
+    /// — the post-processing steps mutate their stack in place, so
+    /// rerunning them after an unwind would be unsound.
+    fn guarded<T>(
+        &self,
+        stage_name: &'static str,
+        mut f: impl FnMut() -> T,
+    ) -> Result<T, PipelineError> {
+        let Some(plan) = self.plan.as_deref() else {
+            return Ok(f());
+        };
+        let site = format!("stage:{stage_name}");
+        // Every panic is treated as transient, so no panic is fatal; map
+        // one defensively rather than asserting unreachability.
+        let fatal = |message| {
+            PipelineError::GaveUp(Exhausted {
+                site: site.clone(),
+                attempts: 1,
+                last_error: message,
+                waited: Duration::ZERO,
+            })
+        };
+        self.retrying(
+            &site,
+            |_| true,
+            fatal,
+            || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    plan.trip_stage(stage_name);
+                    f()
+                }))
+                .map_err(|payload| panic_message(payload.as_ref()))
+            },
+        )
+    }
+
+    /// Runs `op` under the retry policy at fault site `site`. Transient
+    /// failures (per `is_transient`) back off on the virtual clock and
+    /// feed the plan's recovery tallies until the budget runs out
+    /// ([`PipelineError::GaveUp`]); a non-transient one surfaces at once
+    /// as `fatal(error)`.
+    fn retrying<T, E: core::fmt::Display>(
         &self,
         site: &str,
-        mut op: impl FnMut() -> Result<T, StoreError>,
+        is_transient: impl Fn(&E) -> bool,
+        fatal: impl FnOnce(E) -> PipelineError,
+        mut op: impl FnMut() -> Result<T, E>,
     ) -> Result<T, PipelineError> {
         match hifi_faults::retry_observed(
             &self.policy,
             &self.clock,
-            StoreError::is_transient,
+            is_transient,
             |_retry, delay| self.backoffs.borrow_mut().push(delay),
             |_| op(),
         ) {
@@ -820,65 +852,13 @@ impl FaultCtx {
                 }
                 Ok(value)
             }
-            Err(RetryError::Fatal(e)) => Err(PipelineError::Store(e)),
+            Err(RetryError::Fatal(e)) => Err(fatal(e)),
             Err(RetryError::GaveUp(gave_up)) => {
                 if let Some(plan) = &self.plan {
                     plan.record_retried(u64::from(gave_up.attempts.saturating_sub(1)));
                 }
                 Err(PipelineError::GaveUp(gave_up.into_exhausted(site)))
             }
-        }
-    }
-}
-
-/// Runs a pure stage under the stage-panic guard. With no plan attached
-/// the stage runs bare; with one, the plan may trip an injected panic and
-/// the unwind is caught and retried as a transient failure. Injected
-/// panics fire *before* the stage body (see [`FaultPlan::trip_stage`]), so
-/// nothing is half-mutated when the unwind crosses the `AssertUnwindSafe`.
-/// Only pure stages are guarded — the post-processing steps mutate their
-/// stack in place, so rerunning them after an unwind would be unsound.
-fn guarded<T>(
-    ctx: &FaultCtx,
-    stage_name: &'static str,
-    mut f: impl FnMut() -> T,
-) -> Result<T, PipelineError> {
-    let Some(plan) = ctx.plan.as_deref() else {
-        return Ok(f());
-    };
-    let outcome = hifi_faults::retry_observed(
-        &ctx.policy,
-        &ctx.clock,
-        |_: &String| true,
-        |_retry, delay| ctx.backoffs.borrow_mut().push(delay),
-        |_attempt| {
-            catch_unwind(AssertUnwindSafe(|| {
-                plan.trip_stage(stage_name);
-                f()
-            }))
-            .map_err(|payload| panic_message(payload.as_ref()))
-        },
-    );
-    let site = || format!("stage:{stage_name}");
-    match outcome {
-        Ok((value, retries)) => {
-            if retries > 0 {
-                plan.record_retried(u64::from(retries));
-                plan.record_recovered(1);
-            }
-            Ok(value)
-        }
-        // Every panic is treated as transient, so `Fatal` cannot occur;
-        // map it defensively rather than asserting unreachability.
-        Err(RetryError::Fatal(message)) => Err(PipelineError::GaveUp(Exhausted {
-            site: site(),
-            attempts: 1,
-            last_error: message,
-            waited: std::time::Duration::ZERO,
-        })),
-        Err(RetryError::GaveUp(gave_up)) => {
-            plan.record_retried(u64::from(gave_up.attempts.saturating_sub(1)));
-            Err(PipelineError::GaveUp(gave_up.into_exhausted(site())))
         }
     }
 }
@@ -892,69 +872,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "stage panicked".to_string()
     }
-}
-
-/// Looks `key` up in the store (when one is configured), decodes on hit,
-/// and records the hit/miss and bytes-read counters. A blob that passes
-/// the store checksum but fails to decode (written by an incompatible
-/// build) counts as a miss and is recomputed. Transient read failures are
-/// retried via [`FaultCtx::retrying`].
-fn fetch<R: Recorder, T>(
-    store: &Option<ArtifactStore>,
-    ctx: &FaultCtx,
-    rec: &mut R,
-    key: Key,
-    what: &str,
-    decode: impl FnOnce(&[u8]) -> Result<T, hifi_store::CodecError>,
-) -> Result<Option<T>, PipelineError> {
-    let Some(store) = store else { return Ok(None) };
-    let t0 = rec.enabled().then(Instant::now);
-    let got = ctx.retrying(&format!("store.get:{what}"), || store.get(key))?;
-    if let Some(t0) = t0 {
-        rec.histogram(names::HIST_STORE_GET_US, t0.elapsed().as_micros() as u64);
-    }
-    match got {
-        Some(bytes) => match decode(&bytes) {
-            Ok(value) => {
-                rec.counter(names::STORE_HIT, 1);
-                rec.counter(names::STORE_BYTES_READ, bytes.len() as u64);
-                rec.histogram(names::HIST_STORE_GET_BYTES, bytes.len() as u64);
-                Ok(Some(value))
-            }
-            Err(_) => {
-                rec.counter(names::STORE_MISS, 1);
-                Ok(None)
-            }
-        },
-        None => {
-            rec.counter(names::STORE_MISS, 1);
-            Ok(None)
-        }
-    }
-}
-
-/// Persists a freshly computed artifact (when a store is configured) and
-/// records the bytes-written counter. `encode` is only invoked when a
-/// store is present. Transient write failures are retried via
-/// [`FaultCtx::retrying`].
-fn persist<R: Recorder>(
-    store: &Option<ArtifactStore>,
-    ctx: &FaultCtx,
-    rec: &mut R,
-    key: Key,
-    what: &str,
-    encode: impl FnOnce() -> Vec<u8>,
-) -> Result<(), PipelineError> {
-    let Some(store) = store else { return Ok(()) };
-    let bytes = encode();
-    let t0 = rec.enabled().then(Instant::now);
-    ctx.retrying(&format!("store.put:{what}"), || store.put(key, &bytes))?;
-    if let Some(t0) = t0 {
-        rec.histogram(names::HIST_STORE_PUT_US, t0.elapsed().as_micros() as u64);
-        rec.histogram(names::HIST_STORE_PUT_BYTES, bytes.len() as u64);
-    }
-    rec.counter(names::STORE_BYTES_WRITTEN, bytes.len() as u64);
-    Ok(())
 }
 
 /// Mean per-slice PSNR of a stack against a reference stack of identical
@@ -1209,6 +1126,103 @@ mod tests {
             (2, 0),
             "warm via path: handle and path address the same store"
         );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn trace_label_marks_runs_on_a_shared_store_handle() {
+        let root = std::env::temp_dir().join(format!("hifi-label-{}", std::process::id()));
+        let handle = Arc::new(ArtifactStore::open(&root).expect("open store"));
+        let cfg = PipelineConfig::pristine(SaTopologyKind::Classic).with_store_handle(handle);
+        assert_eq!(Pipeline::new(cfg).trace_label(), "classic+store");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// What an instrumented run leaves in its trace: the top-level span
+    /// names in order, the worker-lane span names with their counts, and
+    /// the store `(hit, miss)` counters.
+    fn trace_shape(cfg: PipelineConfig) -> (String, Vec<(String, usize)>, (u64, u64)) {
+        use hifi_telemetry::EventType;
+        let mut rec = JsonRecorder::new();
+        Pipeline::new(cfg).run_with(&mut rec).unwrap();
+        let events = rec.events();
+        let spans: Vec<&str> = events
+            .iter()
+            .filter(|e| e.kind == EventType::SpanStart && e.depth == 0)
+            .map(|e| e.name.as_str())
+            .collect();
+        let mut lanes = std::collections::BTreeMap::<String, usize>::new();
+        for e in events.iter().filter(|e| e.kind == EventType::ThreadSpan) {
+            *lanes.entry(e.name.clone()).or_default() += 1;
+        }
+        let store = (
+            rec.counter_total(names::STORE_HIT),
+            rec.counter_total(names::STORE_MISS),
+        );
+        (spans.join(" "), lanes.into_iter().collect(), store)
+    }
+
+    #[test]
+    fn trace_shape_is_pinned_across_store_tiling_and_faults() {
+        use hifi_faults::FaultSpec;
+        let root = std::env::temp_dir().join(format!("hifi-shape-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let imaging = hifi_imaging::ImagingConfig {
+            slice_voxels: 4,
+            ..Default::default()
+        };
+        let imaged = PipelineConfig::with_imaging(SaTopologyKind::Classic, imaging);
+        let n = Pipeline::new(imaged.clone())
+            .run()
+            .unwrap()
+            .alignment_corrections
+            .len();
+        Pipeline::new(imaged.clone().with_store(&root))
+            .run()
+            .unwrap();
+
+        let imaging_spans = "acquire normalize align denoise reconstruct";
+        // The cached extract stage's spans, then those a warm run replays.
+        let (extract_spans, replayed_spans) = ("crop extract measure", "identify");
+        let lanes = |names: &[&str]| -> Vec<(String, usize)> {
+            names.iter().map(|s| (s.to_string(), n)).collect()
+        };
+        let all_lanes = lanes(&["acquire.slice", "denoise.slice", "render.slice"]);
+        let cases = [
+            (
+                "pristine",
+                PipelineConfig::pristine(SaTopologyKind::Classic),
+                format!("generate voxelize {extract_spans} {replayed_spans}"),
+                Vec::new(),
+                (0, 0),
+            ),
+            (
+                "imaged, store off",
+                imaged.clone(),
+                format!("generate voxelize {imaging_spans} {extract_spans} {replayed_spans}"),
+                all_lanes.clone(),
+                (0, 0),
+            ),
+            (
+                "imaged, warm store",
+                imaged.clone().with_store(&root),
+                format!("generate {replayed_spans}"),
+                lanes(&["render.slice"]),
+                (5, 0),
+            ),
+            (
+                "imaged, tiled, recoverable faults",
+                imaged
+                    .with_tiling(7)
+                    .with_faults(FaultSpec::uniform(3, 0.5)),
+                format!("generate voxelize {imaging_spans} {extract_spans} {replayed_spans}"),
+                all_lanes,
+                (0, 0),
+            ),
+        ];
+        for (what, cfg, spans, lanes, store) in cases {
+            assert_eq!(trace_shape(cfg), (spans, lanes, store), "{what}");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

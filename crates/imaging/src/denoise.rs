@@ -197,14 +197,9 @@ pub fn denoise_profiled(
         // the same dual-field and primal buffers.
         let mut scratch = TvScratch::default();
         for s in chunk {
-            *s = match lanes {
-                Some(l) => l.time(
-                    "denoise.slice",
-                    rayon::current_thread_index() as u32,
-                    || chambolle_tv_with(s, lambda, iterations, &mut scratch),
-                ),
-                None => chambolle_tv_with(s, lambda, iterations, &mut scratch),
-            };
+            *s = crate::sem::lane_timed(lanes, "denoise.slice", || {
+                chambolle_tv_with(s, lambda, iterations, &mut scratch)
+            });
         }
     });
 }

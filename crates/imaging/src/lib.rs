@@ -8,7 +8,10 @@
 //!
 //! - [`acquire`] — slices a [`hifi_synth::MaterialVolume`] like a Ga-FIB and
 //!   renders SE/BSE images with shot noise, cumulative stage drift and
-//!   brightness wander,
+//!   brightness wander; [`acquire_with`] runs the same acquisition
+//!   streamed in x-slabs, under a fault plan with per-slice retry, or
+//!   lane-profiled, bit-identical to [`acquire`] unless a slice exhausts
+//!   its retries,
 //! - [`denoise`] — Chambolle total-variation denoising (the same algorithm
 //!   family the paper runs in Dragonfly),
 //! - [`align`] — mutual-information rigid slice alignment, each slice against
@@ -42,8 +45,6 @@ pub use denoise::{
 };
 pub use reconstruct::{classify_pixel, reconstruct, reconstruct_slab, reconstruct_tiled};
 pub use sem::{
-    acquire, acquire_profiled, acquire_tiled, acquire_tiled_profiled, acquire_with_recovery,
-    acquire_with_recovery_profiled, acquire_with_recovery_tiled_profiled, render_ideal,
-    render_ideal_profiled, AcquireOutcome, AcquirePlan, DetectorKind, DriftTruth, ImageStack,
-    ImagingConfig, SemImage,
+    acquire, acquire_with, render_ideal, AcquireOpts, AcquireOutcome, AcquirePlan, DetectorKind,
+    DriftTruth, ImageStack, ImagingConfig, Recovery, SemImage,
 };

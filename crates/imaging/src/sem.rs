@@ -376,19 +376,26 @@ fn render_cross_section(volume: &MaterialVolume, x: usize, cfg: &ImagingConfig) 
     img
 }
 
+/// Runs one per-slice work item, timed as a `name` span on the worker lane
+/// that executed it when `lanes` is set. The profiler observes, it never
+/// reorders, so output is identical with and without it.
+pub(crate) fn lane_timed<T>(
+    lanes: Option<&LaneProfiler>,
+    name: &str,
+    body: impl FnOnce() -> T,
+) -> T {
+    match lanes {
+        Some(l) => l.time(name, rayon::current_thread_index() as u32, body),
+        None => body(),
+    }
+}
+
 /// Renders the ideal stack an artefact-free microscope would acquire: the
 /// same slicing, framing and material contrast as [`acquire`] with no
 /// noise, drift or brightness wander. Ground-truth reference for fidelity
 /// metrics (PSNR of an acquired or denoised stack is measured against it).
-pub fn render_ideal(volume: &MaterialVolume, cfg: &ImagingConfig) -> ImageStack {
-    render_ideal_profiled(volume, cfg, None)
-}
-
-/// [`render_ideal`] with optional per-slice lane profiling: when `lanes`
-/// is set, every slice render is timed as a `render.slice` span on the
-/// worker lane that executed it. Rendering itself is unchanged — the
-/// profiler observes, it never reorders.
-pub fn render_ideal_profiled(
+/// With `lanes` set, every slice render is timed as a `render.slice` span.
+pub fn render_ideal(
     volume: &MaterialVolume,
     cfg: &ImagingConfig,
     lanes: Option<&LaneProfiler>,
@@ -398,11 +405,10 @@ pub fn render_ideal_profiled(
     let positions: Vec<usize> = (0..nx).step_by(step).collect();
     // Slices are independent; par_map preserves order, so the stack is
     // identical at any thread count.
-    let slices = rayon::par_map(&positions, |&x| match lanes {
-        Some(l) => l.time("render.slice", rayon::current_thread_index() as u32, || {
+    let slices = rayon::par_map(&positions, |&x| {
+        lane_timed(lanes, "render.slice", || {
             render_cross_section(volume, x, cfg)
-        }),
-        None => render_cross_section(volume, x, cfg),
+        })
     });
     ImageStack::from_slices(slices, volume.voxel_nm(), step, cfg.detector)
         .with_frame_margin(cfg.frame_margin_px)
@@ -512,9 +518,12 @@ impl AcquirePlan {
     }
 
     /// Renders scheduled slice `i` from `slab`, a volume whose x-range
-    /// starts at global voxel column `slab_x0`. Rendering a slice from a
-    /// slab is bit-identical to rendering it from the whole die — the
-    /// cross-section only reads the slice's own voxel column.
+    /// starts at global voxel column `slab_x0`: the framed ideal
+    /// cross-section, then the slice's drift shift, shot noise and
+    /// brightness offset. Rendering a slice from a slab is bit-identical to
+    /// rendering it from the whole die — the cross-section only reads the
+    /// slice's own voxel column — and re-rendering it (a re-acquisition
+    /// after a fault) replays the same noise snapshot, bit-identically.
     ///
     /// # Panics
     ///
@@ -534,7 +543,14 @@ impl AcquirePlan {
             a.x,
             slab_x0 + slab_nx
         );
-        render_slice_at(slab, cfg, a, a.x - slab_x0)
+        let ideal = render_cross_section(slab, a.x - slab_x0, cfg);
+        let mut img = ideal.shifted(a.dy, a.dz, oxide_intensity(cfg.detector));
+        let sigma = cfg.noise_sigma();
+        let mut rng = a.noise_rng.clone();
+        for p in img.pixels_mut() {
+            *p += (gaussian(&mut rng) * sigma + a.bright) as f32;
+        }
+        img
     }
 }
 
@@ -550,111 +566,42 @@ impl AcquirePlan {
 /// [`skip_gaussians`]).
 ///
 /// Returns the stack and the ground-truth artefacts (for validation only —
-/// the post-processing never sees them).
+/// the post-processing never sees them). [`acquire_with`] adds streaming
+/// tiles, fault recovery and lane profiling.
 pub fn acquire(volume: &MaterialVolume, cfg: &ImagingConfig) -> (ImageStack, DriftTruth) {
-    acquire_profiled(volume, cfg, None)
+    let out = acquire_with(volume, cfg, &AcquireOpts::default());
+    (out.stack, out.truth)
 }
 
-/// [`acquire`] with optional per-slice lane profiling: when `lanes` is
-/// set, every slice acquisition is timed as an `acquire.slice` span on
-/// the worker lane that executed it.
-pub fn acquire_profiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    lanes: Option<&LaneProfiler>,
-) -> (ImageStack, DriftTruth) {
-    acquire_inner(volume, cfg, None, lanes)
+/// The fault machinery of a fault-aware acquisition (see
+/// [`AcquireOpts::recovery`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Recovery<'a> {
+    /// Decides which slice acquisitions fail (sites `slice:<i>`, keyed on
+    /// the global slice index).
+    pub plan: &'a FaultPlan,
+    /// How often a failed slice is re-acquired.
+    pub policy: &'a RetryPolicy,
+    /// Clock the retry backoff is charged to.
+    pub clock: &'a VirtualClock,
 }
 
-/// [`acquire`] in streaming-tiled mode: the volume is walked in x-slabs of
-/// `tile_x` voxel columns (one slab buffer reused across tiles) and each
-/// slab's slices are rendered in parallel. Bit-identical to the monolithic
-/// path at any thread count — the artefact schedule is shared and every
-/// slice reads only its own voxel column.
-pub fn acquire_tiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    tile_x: usize,
-) -> (ImageStack, DriftTruth) {
-    acquire_tiled_profiled(volume, cfg, tile_x, None)
+/// How [`acquire_with`] executes. The default (monolithic, fault-free,
+/// unprofiled) is [`acquire`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AcquireOpts<'a> {
+    /// Streams the volume in x-slabs of this many voxel columns, one slab
+    /// buffer reused across tiles; `None` renders from the whole volume.
+    pub tile_x: Option<usize>,
+    /// Consults a fault plan for every slice acquisition and re-acquires
+    /// failed ones; `None` acquires fault-free.
+    pub recovery: Option<Recovery<'a>>,
+    /// Times each slice's acquisition, retries included, as an
+    /// `acquire.slice` span on the worker lane that executed it.
+    pub lanes: Option<&'a LaneProfiler>,
 }
 
-/// [`acquire_tiled`] with optional per-slice lane profiling.
-pub fn acquire_tiled_profiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    tile_x: usize,
-    lanes: Option<&LaneProfiler>,
-) -> (ImageStack, DriftTruth) {
-    acquire_inner(volume, cfg, Some(tile_x), lanes)
-}
-
-fn acquire_inner(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    tile_x: Option<usize>,
-    lanes: Option<&LaneProfiler>,
-) -> (ImageStack, DriftTruth) {
-    let plan = AcquirePlan::for_volume(volume, cfg);
-    let render_one = |src: &MaterialVolume, x0: usize, i: usize| match lanes {
-        Some(l) => l.time(
-            "acquire.slice",
-            rayon::current_thread_index() as u32,
-            || plan.render(src, x0, i, cfg),
-        ),
-        None => plan.render(src, x0, i, cfg),
-    };
-    // Parallel render pass: every slice renders, shifts and replays its
-    // noise draws independently.
-    let mut slices: Vec<SemImage> = Vec::with_capacity(plan.len());
-    match tile_x {
-        None => {
-            let indices: Vec<usize> = (0..plan.len()).collect();
-            slices = rayon::par_map(&indices, |&i| render_one(volume, 0, i));
-        }
-        Some(t) => volume.for_each_slab_x(t, |slab, x0| {
-            let (slab_nx, _, _) = slab.dims();
-            let indices: Vec<usize> = plan.slices_in_slab(x0, x0 + slab_nx).collect();
-            slices.extend(rayon::par_map(&indices, |&i| render_one(slab, x0, i)));
-        }),
-    }
-    let truth = plan.truth;
-    (
-        ImageStack::from_slices(
-            slices,
-            volume.voxel_nm(),
-            cfg.slice_voxels.max(1),
-            cfg.detector,
-        )
-        .with_frame_margin(cfg.frame_margin_px),
-        truth,
-    )
-}
-
-/// Renders one acquired slice from its sequentially-derived artefacts:
-/// ideal cross-section at local column `x_local` of `volume` (the whole
-/// die, or the x-slab holding the slice), framed with blank margin so
-/// drift cannot push content off the image, then drift shift, shot noise
-/// and brightness offset. A pure function of its inputs, so re-rendering
-/// the same slice (a re-acquisition after a fault) is bit-identical.
-fn render_slice_at(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    a: &SliceArtefacts,
-    x_local: usize,
-) -> SemImage {
-    let oxide = oxide_intensity(cfg.detector);
-    let sigma = cfg.noise_sigma();
-    let img = render_cross_section(volume, x_local, cfg);
-    let mut img = img.shifted(a.dy, a.dz, oxide);
-    let mut rng = a.noise_rng.clone();
-    for p in img.pixels_mut() {
-        *p += (gaussian(&mut rng) * sigma + a.bright) as f32;
-    }
-    img
-}
-
-/// Result of a fault-aware acquisition ([`acquire_with_recovery`]).
+/// Result of [`acquire_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcquireOutcome {
     /// The acquired stack; degraded slices are interpolated in place.
@@ -669,90 +616,51 @@ pub struct AcquireOutcome {
     pub degraded_slices: Vec<usize>,
 }
 
-/// [`acquire`] under a fault plan: each slice acquisition consults the
-/// plan and, when a fault is injected, is re-acquired under `policy` with
-/// backoff charged to `clock`. A re-acquired slice replays the same RNG
+/// [`acquire`] under the execution options of `opts`.
+///
+/// Tiling never changes the output: the artefact schedule
+/// ([`AcquirePlan`]) is shared and every slice reads only its own voxel
+/// column, so a tiled stack is bit-identical to the monolithic one at any
+/// tile width and thread count.
+///
+/// Under [`AcquireOpts::recovery`] each slice acquisition consults the plan
+/// and, when a fault is injected, is re-acquired under the policy with
+/// backoff charged to the clock. A re-acquired slice replays the same RNG
 /// snapshot, so a recovered stack is **bit-identical** to a clean one at
-/// any thread count. A slice that exhausts its retries is interpolated
-/// from its nearest intact neighbours (mean of both sides, copy of one
-/// side at the stack edges, oxide fill if every slice failed) and flagged
-/// in [`AcquireOutcome::degraded_slices`].
-pub fn acquire_with_recovery(
+/// any thread count and tile width. A slice that exhausts its retries is
+/// interpolated from its nearest intact neighbours (mean of both sides,
+/// copy of one side at the stack edges, oxide fill if every slice failed)
+/// and flagged in [`AcquireOutcome::degraded_slices`].
+pub fn acquire_with(
     volume: &MaterialVolume,
     cfg: &ImagingConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    clock: &VirtualClock,
-) -> AcquireOutcome {
-    acquire_with_recovery_profiled(volume, cfg, plan, policy, clock, None)
-}
-
-/// [`acquire_with_recovery`] with optional per-slice lane profiling: each
-/// slice's whole acquire-with-retries is timed as an `acquire.slice` span
-/// on its worker lane, so retried slices show up as long spans.
-pub fn acquire_with_recovery_profiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    clock: &VirtualClock,
-    lanes: Option<&LaneProfiler>,
-) -> AcquireOutcome {
-    acquire_with_recovery_inner(volume, cfg, plan, policy, clock, None, lanes)
-}
-
-/// [`acquire_with_recovery`] in streaming-tiled mode (see
-/// [`acquire_tiled`]): fault checks, retries and interpolation are keyed
-/// by global slice index, so the outcome is bit-identical to the
-/// monolithic fault-aware path.
-pub fn acquire_with_recovery_tiled_profiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    clock: &VirtualClock,
-    tile_x: usize,
-    lanes: Option<&LaneProfiler>,
-) -> AcquireOutcome {
-    acquire_with_recovery_inner(volume, cfg, plan, policy, clock, Some(tile_x), lanes)
-}
-
-fn acquire_with_recovery_inner(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    clock: &VirtualClock,
-    tile_x: Option<usize>,
-    lanes: Option<&LaneProfiler>,
+    opts: &AcquireOpts,
 ) -> AcquireOutcome {
     let aplan = AcquirePlan::for_volume(volume, cfg);
 
-    /// A failed slice acquisition (always transient: the stage position is
-    /// unchanged and the mill schedule already advanced).
-    #[derive(Debug)]
-    struct SliceFault;
-    impl core::fmt::Display for SliceFault {
-        fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-            f.write_str("slice acquisition failed")
-        }
-    }
-
+    // Every slice renders, shifts and replays its noise draws
+    // independently; `None` marks a slice that exhausted its retries.
     let acquire_one = |src: &MaterialVolume, x0: usize, i: usize| -> Option<SemImage> {
-        let site = format!("slice:{i}");
-        let outcome = retry(
+        let render = || aplan.render(src, x0, i, cfg);
+        let Some(Recovery {
+            plan,
             policy,
             clock,
-            |_: &SliceFault| true,
-            |_attempt| {
-                if plan.check(FaultKind::AcquireSlice, &site) {
-                    Err(SliceFault)
-                } else {
-                    Ok(aplan.render(src, x0, i, cfg))
-                }
-            },
-        );
-        match outcome {
+        }) = opts.recovery
+        else {
+            return Some(render());
+        };
+        let site = format!("slice:{i}");
+        // A failed slice acquisition is always transient: the stage
+        // position is unchanged and the mill schedule already advanced.
+        let attempt = |_attempt| {
+            if plan.check(FaultKind::AcquireSlice, &site) {
+                Err(())
+            } else {
+                Ok(render())
+            }
+        };
+        match retry(policy, clock, |_| true, attempt) {
             Ok((img, retries)) => {
                 if retries > 0 {
                     plan.record_retried(u64::from(retries));
@@ -769,27 +677,20 @@ fn acquire_with_recovery_inner(
             }
         }
     };
-    let timed_one = |src: &MaterialVolume, x0: usize, i: usize| match lanes {
-        Some(l) => l.time(
-            "acquire.slice",
-            rayon::current_thread_index() as u32,
-            || acquire_one(src, x0, i),
-        ),
-        None => acquire_one(src, x0, i),
-    };
+    // Slabs are walked in x order and each slab's slices render in
+    // parallel; the monolithic path is the one-slab case.
     let mut rendered: Vec<Option<SemImage>> = Vec::with_capacity(aplan.len());
-    match tile_x {
-        None => {
-            let indices: Vec<usize> = (0..aplan.len()).collect();
-            rendered = rayon::par_map(&indices, |&i| timed_one(volume, 0, i));
-        }
-        Some(t) => volume.for_each_slab_x(t, |slab, x0| {
-            let (slab_nx, _, _) = slab.dims();
-            let indices: Vec<usize> = aplan.slices_in_slab(x0, x0 + slab_nx).collect();
-            rendered.extend(rayon::par_map(&indices, |&i| timed_one(slab, x0, i)));
-        }),
+    let mut render_slab = |slab: &MaterialVolume, x0: usize| {
+        let (slab_nx, _, _) = slab.dims();
+        let indices: Vec<usize> = aplan.slices_in_slab(x0, x0 + slab_nx).collect();
+        rendered.extend(rayon::par_map(&indices, |&i| {
+            lane_timed(opts.lanes, "acquire.slice", || acquire_one(slab, x0, i))
+        }));
+    };
+    match opts.tile_x {
+        Some(t) => volume.for_each_slab_x(t, render_slab),
+        None => render_slab(volume, 0),
     }
-    let truth = aplan.truth;
 
     let degraded_slices: Vec<usize> = rendered
         .iter()
@@ -798,10 +699,11 @@ fn acquire_with_recovery_inner(
         .collect();
     // Interpolate from *rendered* neighbours only (never from another
     // interpolated slice), reading the pre-fill state.
-    let (ny, nz) = framed_dims(volume, cfg);
+    let (_, ny, nz) = volume.dims();
+    let m = 2 * cfg.frame_margin_px;
     let interpolated: Vec<(usize, SemImage)> = degraded_slices
         .iter()
-        .map(|&i| (i, interpolate_slice(&rendered, i, ny, nz, cfg)))
+        .map(|&i| (i, interpolate_slice(&rendered, i, ny + m, nz + m, cfg)))
         .collect();
     for (i, img) in interpolated {
         rendered[i] = Some(img);
@@ -819,22 +721,15 @@ fn acquire_with_recovery_inner(
             cfg.detector,
         )
         .with_frame_margin(cfg.frame_margin_px),
-        truth,
+        truth: aplan.truth,
         degraded_slices,
     }
 }
 
-/// Framed slice dimensions `(ny, nz)` of an acquisition over `volume`.
-fn framed_dims(volume: &MaterialVolume, cfg: &ImagingConfig) -> (usize, usize) {
-    let (_, ny, nz) = volume.dims();
-    let m = cfg.frame_margin_px;
-    (ny + 2 * m, nz + 2 * m)
-}
-
 /// Best-effort stand-in for a slice whose acquisition exhausted retries:
 /// the pixel-wise mean of the nearest intact slices on both sides, a copy
-/// of the single intact side at a stack edge, or the oxide background if
-/// no slice survived.
+/// of the single intact side at a stack edge, or an `ny × nz` oxide
+/// background if no slice survived.
 fn interpolate_slice(
     rendered: &[Option<SemImage>],
     i: usize,
@@ -937,51 +832,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tiled_acquisition_matches_monolithic() {
-        let v = test_volume();
-        let cfg = ImagingConfig {
-            slice_voxels: 3,
-            ..Default::default()
-        };
-        let (mono, mono_truth) = acquire(&v, &cfg);
-        // Tile widths that divide, straddle and exceed the die, including
-        // tiles narrower than the slice step (slabs with no slice).
-        for tile in [1usize, 2, 3, 5, 7, 19, 20, 64] {
-            let (tiled, truth) = acquire_tiled(&v, &cfg, tile);
-            assert_eq!(tiled, mono, "tile width {tile}");
-            assert_eq!(truth, mono_truth, "tile width {tile}");
-        }
+    /// A half-rate slice-fault plan capped at two consecutive failures:
+    /// recoverable under the default policy (3 retries).
+    fn recoverable_plan() -> FaultPlan {
+        FaultPlan::new(
+            hifi_faults::FaultSpec::disabled()
+                .with_seed(3)
+                .with_rate(FaultKind::AcquireSlice, 0.5)
+                .with_max_consecutive(2),
+        )
     }
 
     #[test]
-    fn tiled_recovery_matches_monolithic_recovery() {
-        use hifi_faults::FaultSpec;
+    fn acquire_with_matches_acquire_under_every_option() {
         let v = test_volume();
-        let cfg = ImagingConfig::default();
-        let make_plan = || {
-            FaultPlan::new(
-                FaultSpec::disabled()
-                    .with_seed(3)
-                    .with_rate(FaultKind::AcquireSlice, 0.5)
-                    .with_max_consecutive(2),
-            )
+        let bits = |s: &ImageStack| -> Vec<u32> {
+            s.slices()
+                .iter()
+                .flat_map(|img| img.pixels().iter().map(|p| p.to_bits()))
+                .collect()
         };
-        let clock = VirtualClock::new();
-        let mono = acquire_with_recovery(&v, &cfg, &make_plan(), &RetryPolicy::default(), &clock);
-        for tile in [4usize, 9, 32] {
-            let plan = make_plan();
-            let tiled = acquire_with_recovery_tiled_profiled(
-                &v,
-                &cfg,
-                &plan,
-                &RetryPolicy::default(),
-                &VirtualClock::new(),
-                tile,
-                None,
-            );
-            assert_eq!(tiled, mono, "tile width {tile}");
-            assert!(plan.tally().injected > 0, "plan must actually inject");
+        // Tile widths that divide, straddle and exceed the die, including
+        // tiles narrower than the slice step (slabs with no slice).
+        let tiles = [1usize, 2, 3, 4, 5, 7, 9, 19, 20, 32, 64];
+        let policy = RetryPolicy::default();
+        // One slice per voxel column, and a step that leaves gaps.
+        for slice_voxels in [1usize, 3] {
+            let cfg = ImagingConfig {
+                slice_voxels,
+                ..Default::default()
+            };
+            let (mono, mono_truth) = acquire(&v, &cfg);
+            for tile_x in std::iter::once(None).chain(tiles.map(Some)) {
+                for faulted in [false, true] {
+                    for profiled in [false, true] {
+                        let case = format!(
+                            "step {slice_voxels}, tile {tile_x:?}, faults {faulted}, lanes {profiled}"
+                        );
+                        let (plan, clock, lanes) = (
+                            recoverable_plan(),
+                            VirtualClock::new(),
+                            LaneProfiler::new(0),
+                        );
+                        let recovery = faulted.then_some(Recovery {
+                            plan: &plan,
+                            policy: &policy,
+                            clock: &clock,
+                        });
+                        let opts = AcquireOpts {
+                            tile_x,
+                            recovery,
+                            lanes: profiled.then_some(&lanes),
+                        };
+                        let out = acquire_with(&v, &cfg, &opts);
+                        assert_eq!(out.stack, mono, "{case}");
+                        assert_eq!(bits(&out.stack), bits(&mono), "{case}");
+                        assert_eq!(out.truth, mono_truth, "{case}");
+                        assert!(out.degraded_slices.is_empty(), "{case}");
+                        // A faulted run must inject, recover every slice and
+                        // charge its backoff to the virtual clock.
+                        let tally = plan.tally();
+                        assert_eq!(tally.injected > 0, faulted, "{case}");
+                        assert_eq!(tally.recovered > 0, faulted, "{case}");
+                        assert_eq!(tally.degraded, 0, "{case}");
+                        assert_eq!(!clock.elapsed().is_zero(), faulted, "{case}");
+                        let spans = lanes.drain();
+                        let want = if profiled { mono.len() } else { 0 };
+                        assert_eq!(spans.len(), want, "{case}");
+                        assert!(spans.iter().all(|s| s.name == "acquire.slice"), "{case}");
+                    }
+                }
+            }
         }
     }
 
@@ -1093,7 +1014,7 @@ mod tests {
             dwell_us: 1e12, // noise sigma ≈ 0, rounds away in f32
             ..Default::default()
         };
-        let ideal = render_ideal(&v, &cfg);
+        let ideal = render_ideal(&v, &cfg, None);
         let (acquired, _) = acquire(&v, &cfg);
         assert_eq!(ideal.len(), acquired.len());
         assert_eq!(ideal.frame_margin_px(), acquired.frame_margin_px());
@@ -1162,35 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn recovered_acquisition_is_bit_identical_to_clean() {
-        use hifi_faults::FaultSpec;
-        let v = test_volume();
-        let cfg = ImagingConfig::default();
-        let (clean, clean_truth) = acquire(&v, &cfg);
-        // Half the slice attempts fail, at most twice in a row — fully
-        // recoverable under the default policy (3 retries).
-        let plan = FaultPlan::new(
-            FaultSpec::disabled()
-                .with_seed(3)
-                .with_rate(FaultKind::AcquireSlice, 0.5)
-                .with_max_consecutive(2),
-        );
-        let clock = VirtualClock::new();
-        let out = acquire_with_recovery(&v, &cfg, &plan, &RetryPolicy::default(), &clock);
-        let tally = plan.tally();
-        assert!(tally.injected > 0, "plan must actually inject");
-        assert_eq!(tally.degraded, 0);
-        assert!(tally.recovered > 0);
-        assert!(out.degraded_slices.is_empty());
-        assert_eq!(out.stack, clean, "recovery must be bit-transparent");
-        assert_eq!(out.truth, clean_truth);
-        assert!(
-            clock.elapsed() > std::time::Duration::ZERO,
-            "backoff must be charged to the virtual clock"
-        );
-    }
-
-    #[test]
     fn exhausted_slices_are_interpolated_and_flagged() {
         use hifi_faults::FaultSpec;
         let v = test_volume();
@@ -1203,8 +1095,16 @@ mod tests {
                 .with_rate(FaultKind::AcquireSlice, 0.4)
                 .with_max_consecutive(5),
         );
-        let clock = VirtualClock::new();
-        let out = acquire_with_recovery(&v, &cfg, &plan, &RetryPolicy::none(), &clock);
+        let recovery = Recovery {
+            plan: &plan,
+            policy: &RetryPolicy::none(),
+            clock: &VirtualClock::new(),
+        };
+        let opts = AcquireOpts {
+            recovery: Some(recovery),
+            ..Default::default()
+        };
+        let out = acquire_with(&v, &cfg, &opts);
         assert!(
             !out.degraded_slices.is_empty(),
             "seed 11 at 40% must degrade"

@@ -8,7 +8,8 @@
 #
 # Jobs:
 #   lint          cargo fmt --check + clippy -D warnings
-#   test          tier-1 test suite at 1 thread and at available_parallelism
+#   test          tier-1 test suite at 1 thread and at available_parallelism,
+#                 then the perfbench/ package's build and tests
 #   regen-drift   regen snapshot drift + artifact-store cold/warm/gc round
 #                 trip (scripts/check.sh --drift-only)
 #   fault-matrix  tests/fault_recovery.rs under fault seeds; honours
@@ -100,6 +101,12 @@ job_test() {
     else
         echo "==> tier-1 tests @ available_parallelism: skipped (1 core)"
     fi
+    # perfbench/ is its own package outside the workspace; build and test
+    # it here so an API change that breaks the benchmark fails CI. Its
+    # build goes under target/ so the CI target/ cache covers it.
+    echo "==> perfbench build + tests"
+    cargo test --offline --locked --manifest-path perfbench/Cargo.toml \
+        --target-dir target/perfbench
 }
 
 job_regen_drift() {

@@ -62,9 +62,9 @@ fn acquire_is_bit_identical_across_thread_counts() {
 fn render_ideal_is_bit_identical_across_thread_counts() {
     let volume = test_volume(SaTopologyKind::Classic);
     let cfg = imaging_config();
-    let base = rayon::with_num_threads(1, || render_ideal(&volume, &cfg));
+    let base = rayon::with_num_threads(1, || render_ideal(&volume, &cfg, None));
     for n in THREAD_COUNTS {
-        let stack = rayon::with_num_threads(n, || render_ideal(&volume, &cfg));
+        let stack = rayon::with_num_threads(n, || render_ideal(&volume, &cfg, None));
         assert_stacks_identical(&base, &stack, &format!("render_ideal @ {n} threads"));
     }
 }
