@@ -11,20 +11,19 @@
 //! |                              | ④ restore (ISO on), then precharge   |
 //!
 //! The schedules are pure stimulus descriptions executed by the MNA engine
-//! ([`crate::mna`]); the legacy explicit solver remains available through
-//! [`SimEngine::LegacyExplicit`] for cross-validation. Control nets are
-//! located by **role inference** ([`SaRoles::infer`]) rather than by name,
-//! so the same schedules drive hand-built topologies and netlists recovered
-//! by `hifi_extract` — the closed loop the paper's §VI-A argues for: a wrong
-//! extraction shows up as a wrong waveform, not just a wrong graph.
+//! ([`crate::mna`]). Control nets are located by **role inference**
+//! ([`SaRoles::infer`]) rather than by name, so the same schedules drive
+//! hand-built topologies and netlists recovered by `hifi_extract` through
+//! one activation path — the closed loop the paper's §VI-A argues for: a
+//! wrong extraction shows up as a wrong waveform, not just a wrong graph.
 //!
 //! The testbench hangs a one-cell MAT column off the inferred `BL` (the
 //! activated MAT) and a dummy column off `BLB` (the reference MAT of the
 //! open-bitline scheme), injects threshold mismatch into a latch transistor,
 //! and reports whether the amplifier latched the right value.
 
-use crate::mna::{MnaCircuit, MnaTransient, SolveStats};
-use crate::sim::{AnalogCircuit, SimError, Stimulus, Transient, Waveforms};
+use crate::mna::{MnaCircuit, MnaRun, MnaTransient, SolveStats};
+use crate::sim::{SimError, Stimulus, Waveforms};
 use hifi_circuit::topology::{self, SaDimensions, SaTopologyKind};
 use hifi_circuit::{Mosfet, NetId, Netlist, TransistorClass, TransistorDims};
 use hifi_units::{Femtofarads, Nanometers, Volts};
@@ -101,17 +100,6 @@ impl Default for ActivationConfig {
     }
 }
 
-/// Which transient solver executes the activation schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimEngine {
-    /// The MNA backward-Euler engine ([`crate::mna`]) — the default.
-    #[default]
-    Mna,
-    /// The legacy explicit fixed-timestep integrator, kept for
-    /// cross-validating the MNA results.
-    LegacyExplicit,
-}
-
 /// Outcome of one simulated activation.
 #[derive(Debug, Clone)]
 pub struct SenseReport {
@@ -131,7 +119,7 @@ pub struct SenseReport {
     pub restored_level: f64,
     /// The topology simulated.
     pub topology: SaTopologyKind,
-    /// Solver diagnostics (`None` when run on the legacy engine).
+    /// Solver diagnostics of the MNA run. Always `Some`.
     pub solve_stats: Option<SolveStats>,
 }
 
@@ -183,14 +171,8 @@ impl SaRoles {
     ///
     /// Panics only if the workspace topology builders are inconsistent.
     pub fn canonical(kind: SaTopologyKind) -> Self {
-        let circuit = match kind {
-            SaTopologyKind::Classic => topology::classic_sa(SaDimensions::default()),
-            SaTopologyKind::OffsetCancellation => topology::ocsa(SaDimensions::default()),
-            SaTopologyKind::ClassicWithIsolation => {
-                topology::classic_sa_with_isolation(SaDimensions::default())
-            }
-        };
-        Self::infer(circuit.netlist()).expect("canonical topologies have well-defined roles")
+        Self::infer(&canonical_netlist(kind, SaDimensions::default()))
+            .expect("canonical topologies have well-defined roles")
     }
 
     /// Infers the roles from any classified netlist (hand-built or
@@ -337,9 +319,18 @@ impl SaRoles {
     }
 }
 
+/// The bare netlist of a canonical topology.
+fn canonical_netlist(kind: SaTopologyKind, dims: SaDimensions) -> Netlist {
+    match kind {
+        SaTopologyKind::Classic => topology::classic_sa(dims),
+        SaTopologyKind::OffsetCancellation => topology::ocsa(dims),
+        SaTopologyKind::ClassicWithIsolation => topology::classic_sa_with_isolation(dims),
+    }
+    .into_netlist()
+}
+
 /// Schedule landmarks shared by both topologies' stimulus programs.
 struct Landmarks {
-    t_share: f64,
     t_restore_end: f64,
     t_end: f64,
 }
@@ -502,7 +493,6 @@ fn schedule(roles: &SaRoles, cfg: &ActivationConfig) -> (Stimulus, Landmarks) {
     (
         stim,
         Landmarks {
-            t_share,
             t_restore_end,
             t_end,
         },
@@ -535,13 +525,13 @@ fn attach_testbench(nl: &mut Netlist, roles: &SaRoles, cfg: &ActivationConfig) {
 }
 
 fn report_from(
-    waveforms: Waveforms,
+    run: MnaRun,
     roles: &SaRoles,
     cfg: &ActivationConfig,
     stored_one: bool,
     read_time: f64,
-    solve_stats: Option<SolveStats>,
 ) -> SenseReport {
+    let waveforms = run.waveforms;
     // During the final precharge the latch nodes re-equalise; read the
     // decision at the end of restore instead of the end of simulation.
     let v_l = waveforms.voltage(&roles.sense_l, read_time).unwrap_or(0.0);
@@ -564,69 +554,44 @@ fn report_from(
         latch_split_time: split,
         restored_level: restored,
         topology: roles.kind,
-        solve_stats,
+        solve_stats: Some(run.stats),
         waveforms,
     }
 }
 
-/// Runs the activation schedule for an already-prepared testbench netlist.
-fn run_activation(
-    nl: &Netlist,
-    roles: &SaRoles,
+/// The one activation path: infers the SA roles of a bare netlist, attaches
+/// the MAT-column testbench and runs the matching schedule on the MNA
+/// engine.
+fn activate(
+    mut nl: Netlist,
     cfg: &ActivationConfig,
     stored_one: bool,
-    engine: SimEngine,
 ) -> Result<SenseReport, SimError> {
-    let (stim, marks) = schedule(roles, cfg);
-    let mut initial: Vec<(String, f64)> = vec![
-        (roles.bl.clone(), cfg.vpre),
-        (roles.blb.clone(), cfg.vpre),
-        (
-            format!("SN0_{}", roles.bl),
-            if stored_one { cfg.vdd } else { 0.0 },
-        ),
-        (format!("SN0_{}", roles.blb), 0.0),
-    ];
+    let roles = SaRoles::infer(&nl)?;
+    attach_testbench(&mut nl, &roles, cfg);
+    let (stim, marks) = schedule(&roles, cfg);
+    let mut circuit = MnaCircuit::from_netlist(&nl);
+    if cfg.nsa_vt_offset != 0.0 {
+        circuit = circuit.with_vt_offset(&roles.offset_device, Volts(cfg.nsa_vt_offset))?;
+    }
+    let stored_v = if stored_one { cfg.vdd } else { 0.0 };
+    let mut tr = MnaTransient::new(marks.t_end)
+        .with_initial(&roles.bl, Volts(cfg.vpre))
+        .with_initial(&roles.blb, Volts(cfg.vpre))
+        .with_initial(&format!("SN0_{}", roles.bl), Volts(stored_v))
+        .with_initial(&format!("SN0_{}", roles.blb), Volts(0.0));
     for sense in [&roles.sense_l, &roles.sense_r] {
         if *sense != roles.bl && *sense != roles.blb {
-            initial.push((sense.clone(), cfg.vpre));
+            tr = tr.with_initial(sense, Volts(cfg.vpre));
         }
     }
-
-    let (waveforms, stats) = match engine {
-        SimEngine::Mna => {
-            let mut circuit = MnaCircuit::from_netlist(nl);
-            if cfg.nsa_vt_offset != 0.0 {
-                circuit = circuit.with_vt_offset(&roles.offset_device, Volts(cfg.nsa_vt_offset))?;
-            }
-            let mut tr = MnaTransient::new(marks.t_end);
-            for (net, v) in initial {
-                tr = tr.with_initial(&net, Volts(v));
-            }
-            let run = tr.run(&circuit, &stim)?;
-            (run.waveforms, Some(run.stats))
-        }
-        SimEngine::LegacyExplicit => {
-            let mut circuit = AnalogCircuit::from_netlist(nl);
-            if cfg.nsa_vt_offset != 0.0 {
-                circuit = circuit.with_vt_offset(&roles.offset_device, Volts(cfg.nsa_vt_offset))?;
-            }
-            let mut tr = Transient::new(marks.t_end);
-            for (net, v) in initial {
-                tr = tr.with_initial(&net, Volts(v));
-            }
-            tr.dt = 0.25e-12;
-            (tr.run(&circuit, &stim)?, None)
-        }
-    };
-    let _ = marks.t_share;
+    let run = tr.run(&circuit, &stim)?;
     Ok(report_from(
-        waveforms,
-        roles,
+        run,
+        &roles,
         cfg,
         stored_one,
         marks.t_restore_end,
-        stats,
     ))
 }
 
@@ -663,31 +628,7 @@ pub fn try_simulate(
     cfg: &ActivationConfig,
     stored_one: bool,
 ) -> Result<SenseReport, SimError> {
-    try_simulate_with(SimEngine::Mna, kind, cfg, stored_one)
-}
-
-/// Simulates one activation of the given topology on a chosen engine.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the configuration produces an invalid testbench.
-pub fn try_simulate_with(
-    engine: SimEngine,
-    kind: SaTopologyKind,
-    cfg: &ActivationConfig,
-    stored_one: bool,
-) -> Result<SenseReport, SimError> {
-    let circuit = match kind {
-        SaTopologyKind::Classic => topology::classic_sa(cfg.dims.clone()),
-        SaTopologyKind::OffsetCancellation => topology::ocsa(cfg.dims.clone()),
-        SaTopologyKind::ClassicWithIsolation => {
-            topology::classic_sa_with_isolation(cfg.dims.clone())
-        }
-    };
-    let mut nl = circuit.into_netlist();
-    let roles = SaRoles::infer(&nl)?;
-    attach_testbench(&mut nl, &roles, cfg);
-    run_activation(&nl, &roles, cfg, stored_one, engine)
+    activate(canonical_netlist(kind, cfg.dims.clone()), cfg, stored_one)
 }
 
 /// Simulates an activation of an **extracted** netlist: infers the SA roles
@@ -707,10 +648,7 @@ pub fn simulate_extracted_activation(
     cfg: &ActivationConfig,
     stored_one: bool,
 ) -> Result<SenseReport, SimError> {
-    let roles = SaRoles::infer(netlist)?;
-    let mut nl = netlist.clone();
-    attach_testbench(&mut nl, &roles, cfg);
-    run_activation(&nl, &roles, cfg, stored_one, SimEngine::Mna)
+    activate(netlist.clone(), cfg, stored_one)
 }
 
 /// Sweeps threshold mismatch and returns the largest offset magnitude (in
@@ -731,22 +669,6 @@ pub fn max_tolerated_offset(
     step_mv: f64,
     max_mv: f64,
 ) -> f64 {
-    max_tolerated_offset_with(SimEngine::Mna, kind, cfg, step_mv, max_mv)
-}
-
-/// [`max_tolerated_offset`] on a chosen engine (the cross-validation tests
-/// compare the two).
-///
-/// # Panics
-///
-/// Panics if `step_mv` is not positive or `max_mv < step_mv`.
-pub fn max_tolerated_offset_with(
-    engine: SimEngine,
-    kind: SaTopologyKind,
-    cfg: &ActivationConfig,
-    step_mv: f64,
-    max_mv: f64,
-) -> f64 {
     assert!(step_mv > 0.0 && max_mv >= step_mv, "invalid sweep bounds");
     let mut tolerated = 0.0;
     let mut offset = step_mv;
@@ -756,7 +678,7 @@ pub fn max_tolerated_offset_with(
             for sign in [-1.0, 1.0] {
                 let mut c = cfg.clone();
                 c.nsa_vt_offset = sign * offset * 1e-3;
-                let rep = try_simulate_with(engine, kind, &c, stored).expect("valid testbench");
+                let rep = try_simulate(kind, &c, stored).expect("valid testbench");
                 if !rep.correct {
                     all_ok = false;
                     break 'combo;
@@ -925,26 +847,60 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_verdicts() {
-        // The MNA core must reproduce the legacy fixed-schedule verdicts:
-        // healthy SAs sense correctly, an 80 mV offset defeats the classic
-        // latch but not the OCSA — on both engines.
-        for (kind, offset, expect_correct) in [
-            (SaTopologyKind::Classic, 0.0, true),
-            (SaTopologyKind::Classic, -0.08, false),
-            (SaTopologyKind::OffsetCancellation, -0.08, true),
+    fn canonical_and_extracted_netlists_share_one_activation_path() {
+        // `try_simulate` on a topology kind and `simulate_extracted_activation`
+        // on that topology's netlist are the same experiment: every trace and
+        // the solver work must match bit for bit.
+        let cfg = ActivationConfig::default();
+        for kind in [
+            SaTopologyKind::Classic,
+            SaTopologyKind::OffsetCancellation,
+            SaTopologyKind::ClassicWithIsolation,
         ] {
-            let cfg = ActivationConfig {
-                nsa_vt_offset: offset,
-                ..Default::default()
-            };
-            for engine in [SimEngine::Mna, SimEngine::LegacyExplicit] {
-                let rep = try_simulate_with(engine, kind, &cfg, true).expect("valid");
-                assert_eq!(
-                    rep.correct, expect_correct,
-                    "{kind} offset={offset} on {engine:?}"
-                );
+            let netlist = match kind {
+                SaTopologyKind::Classic => topology::classic_sa(cfg.dims.clone()),
+                SaTopologyKind::OffsetCancellation => topology::ocsa(cfg.dims.clone()),
+                SaTopologyKind::ClassicWithIsolation => {
+                    topology::classic_sa_with_isolation(cfg.dims.clone())
+                }
+            }
+            .into_netlist();
+            for stored in [false, true] {
+                let a = try_simulate(kind, &cfg, stored).expect("canonical");
+                let b = simulate_extracted_activation(&netlist, &cfg, stored).expect("extracted");
+                assert_eq!(a.solve_stats, b.solve_stats, "{kind} stored={stored}");
+                let mut nets: Vec<&str> = a.waveforms.nets().collect();
+                nets.sort_unstable();
+                let mut nets_b: Vec<&str> = b.waveforms.nets().collect();
+                nets_b.sort_unstable();
+                assert_eq!(nets, nets_b, "{kind} stored={stored}");
+                let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                for net in nets {
+                    assert_eq!(
+                        bits(a.waveforms.trace(net).unwrap()),
+                        bits(b.waveforms.trace(net).unwrap()),
+                        "{kind} stored={stored} net {net}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn zero_length_schedule_names_the_zero_duration() {
+        let cfg = ActivationConfig {
+            timings: PhaseTimings {
+                precharge_ns: 0.0,
+                offset_cancel_ns: 0.0,
+                charge_share_ns: 0.0,
+                sense_ns: 0.0,
+                restore_ns: 0.0,
+                final_precharge_ns: 0.0,
+                slew_ns: 0.0,
+            },
+            ..Default::default()
+        };
+        let err = try_simulate(SaTopologyKind::Classic, &cfg, true).unwrap_err();
+        assert_eq!(err, SimError::InvalidTimestep(0.0));
     }
 }

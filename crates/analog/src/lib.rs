@@ -11,8 +11,6 @@
 //!   companion models, damped Newton iteration, KCL residual audits) driven
 //!   directly by [`hifi_circuit::Netlist`]s — including netlists recovered
 //!   by the extraction pipeline,
-//! - [`sim`] — the legacy fixed-timestep explicit solver, kept for
-//!   cross-validating the MNA engine,
 //! - [`events`] — the paper's SA operation sequences: the classic events of
 //!   Fig. 2c (charge sharing → latch & restore → precharge/equalise) and the
 //!   OCSA events of Fig. 9b (offset cancellation → *delayed* charge sharing →
@@ -36,10 +34,10 @@ pub mod mna;
 mod model;
 pub mod montecarlo;
 pub mod reliability;
-pub mod sim;
+mod sim;
 mod stamp;
 
 pub use mna::{MnaCircuit, MnaRun, MnaTransient, SolveStats};
 pub use model::{MosfetModel, MosfetOpRegion};
 pub use montecarlo::{run_sweep, McConfig, McReport, McSample};
-pub use sim::{AnalogCircuit, SimError, Stimulus, Transient, Waveform, Waveforms};
+pub use sim::{SimError, Stimulus, Waveform, Waveforms};

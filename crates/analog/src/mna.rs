@@ -1,19 +1,17 @@
-//! Modified-Nodal-Analysis transient engine.
+//! Modified-Nodal-Analysis transient engine — the workspace's only one.
 //!
-//! The fixed-timestep solver in [`crate::sim`] integrates node charge
-//! explicitly, which forces sub-picosecond steps and treats driven nets as
-//! ideal rails outside the equation system. This module solves the circuit
-//! equations properly: every node voltage and every source branch current is
-//! an unknown of one nonlinear system per timestep, discretised with
-//! backward Euler and solved by damped Newton iteration. That buys
-//! unconditional stability (20× coarser steps at the same fidelity), exact
-//! KCL at every solution point (the property tests pin the residual), and
-//! typed diagnostics when the latch's positive feedback defeats convergence.
+//! Every node voltage and every source branch current is an unknown of one
+//! nonlinear system per timestep, discretised with backward Euler and solved
+//! by damped Newton iteration. That buys unconditional stability, exact KCL
+//! at every solution point (the property tests pin the residual), and typed
+//! diagnostics when the latch's positive feedback defeats convergence. A
+//! closed-form square-law discharge pins the physics to first-order
+//! accuracy in the timestep.
 //!
-//! The engine is driven by the same [`Stimulus`] schedules as the legacy
-//! solver and accepts any [`hifi_circuit::Netlist`] — including netlists
-//! straight out of `hifi_extract`, which is what makes the behavioral
-//! conformance oracle possible.
+//! The engine is driven by [`Stimulus`] schedules and accepts any
+//! [`hifi_circuit::Netlist`] — including netlists straight out of
+//! `hifi_extract`, which is what makes the behavioral conformance oracle
+//! possible.
 
 use crate::model::MosfetModel;
 use crate::sim::{SimError, Stimulus, Waveform, Waveforms};
@@ -45,16 +43,15 @@ struct MosfetElement {
 ///
 /// Node voltages are referenced to an implicit ground that is *not* a named
 /// node: a netlist's `GND` net is an ordinary node a [`Stimulus`] holds at
-/// 0 V, exactly as with [`crate::AnalogCircuit`]. Every node carries a small
-/// parasitic capacitance and a `gmin` leak to the reference so the system
-/// stays well-posed even around cut-off transistors.
+/// 0 V. Every node carries a small parasitic capacitance and a `gmin` leak
+/// to the reference so the system stays well-posed even around cut-off
+/// transistors.
 #[derive(Debug, Clone)]
 pub struct MnaCircuit {
     node_names: Vec<String>,
     elements: Vec<Element>,
     parasitic_f: f64,
     gmin_siemens: f64,
-    vt_offsets: HashMap<String, Volts>,
 }
 
 impl Default for MnaCircuit {
@@ -64,7 +61,7 @@ impl Default for MnaCircuit {
 }
 
 impl MnaCircuit {
-    /// Default per-node parasitic capacitance, matching the legacy engine.
+    /// Default per-node parasitic capacitance.
     pub const DEFAULT_PARASITIC: Femtofarads = Femtofarads(0.5);
     /// Default conditioning conductance from every node to the reference.
     pub const DEFAULT_GMIN_S: f64 = 1e-12;
@@ -76,7 +73,6 @@ impl MnaCircuit {
             elements: Vec::new(),
             parasitic_f: Self::DEFAULT_PARASITIC.value() * 1e-15,
             gmin_siemens: Self::DEFAULT_GMIN_S,
-            vt_offsets: HashMap::new(),
         }
     }
 
@@ -183,13 +179,7 @@ impl MnaCircuit {
             return Err(SimError::UnknownDevice(device.into()));
         };
         m.model = m.model.with_vt_offset(offset);
-        self.vt_offsets.insert(device.into(), offset);
         Ok(self)
-    }
-
-    /// The threshold offsets applied so far, by device name.
-    pub fn vt_offsets(&self) -> &HashMap<String, Volts> {
-        &self.vt_offsets
     }
 
     /// Node names in the compiled circuit.
@@ -219,8 +209,7 @@ pub struct SolveStats {
 /// Result of an MNA transient: sampled waveforms plus solver diagnostics.
 #[derive(Debug, Clone)]
 pub struct MnaRun {
-    /// Recorded node voltages, sampled on the same grid as the legacy
-    /// engine's output.
+    /// Recorded node voltages, sampled every `round(dt_sample / dt)` steps.
     pub waveforms: Waveforms,
     /// Solver diagnostics.
     pub stats: SolveStats,
@@ -229,12 +218,14 @@ pub struct MnaRun {
 /// Backward-Euler transient configuration for [`MnaCircuit`].
 #[derive(Debug, Clone)]
 pub struct MnaTransient {
-    /// Integration timestep (s). Backward Euler is unconditionally stable,
-    /// so the default (5 ps) is 20× the legacy explicit step.
+    /// Integration timestep (s). Default 5 ps; backward Euler is
+    /// unconditionally stable, and its error halves with the step.
     pub dt: f64,
     /// Simulation duration (s).
     pub t_end: f64,
-    /// Recording interval (s). Default 10 ps.
+    /// Requested recording interval (s). Default 10 ps. Samples land every
+    /// `round(dt_sample / dt)` steps (at least one), and
+    /// [`Waveforms::sample_interval`] reports that actual grid.
     pub dt_sample: f64,
     /// Initial voltages for floating nodes (by name); unlisted nodes start
     /// at 0 V.
@@ -277,8 +268,11 @@ impl MnaTransient {
     /// has no usable pivot.
     pub fn run(&self, circuit: &MnaCircuit, stimulus: &Stimulus) -> Result<MnaRun, SimError> {
         let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        if !positive(self.dt) || !positive(self.t_end) || !positive(self.dt_sample) {
-            return Err(SimError::InvalidTimestep(self.dt));
+        if let Some(&bad) = [self.dt, self.t_end, self.dt_sample]
+            .iter()
+            .find(|&&x| !positive(x))
+        {
+            return Err(SimError::InvalidTimestep(bad));
         }
         let n_nodes = circuit.node_names.len();
 
@@ -396,7 +390,8 @@ impl MnaTransient {
 
         Ok(MnaRun {
             waveforms: Waveforms {
-                dt_sample: self.dt_sample,
+                // The recorded grid, not the requested `dt_sample`.
+                dt_sample: sample_every as f64 * self.dt,
                 traces,
             },
             stats,
@@ -521,7 +516,12 @@ impl MnaTransient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hifi_circuit::Polarity;
+    use hifi_circuit::{Polarity, TransistorClass, TransistorDims};
+    use hifi_units::Nanometers;
+
+    fn dims(w_over_l: f64) -> TransistorDims {
+        TransistorDims::new(Nanometers(100.0 * w_over_l), Nanometers(100.0))
+    }
 
     #[test]
     fn resistor_divider_settles_to_half() {
@@ -538,29 +538,96 @@ mod tests {
 
     #[test]
     fn rc_discharge_matches_analytic_solution() {
-        // 100 fF through 10 kΩ from 1 V: v(t) = exp(−t/RC), RC = 1 ns.
+        // 100 fF through 10 kΩ from 1 V: v(t) = exp(−t/RC), RC = 1 ns. A
+        // 10 ps recording interval is not a whole number of 3 ps or 4 ps
+        // steps: samples then land every 3 steps, and trace times must
+        // follow that 9 ps / 12 ps grid.
         let mut c = MnaCircuit::new();
         c.add_resistor("A", "GND", 10_000.0);
         c.add_capacitor("A", "GND", Femtofarads(100.0));
         let c = c.with_parasitic(Femtofarads(0.0));
         let mut stim = Stimulus::new();
         stim.hold("GND", Volts(0.0));
-        let mut tr = MnaTransient::new(2e-9).with_initial("A", Volts(1.0));
-        tr.dt = 1e-12;
-        let run = tr.run(&c, &stim).unwrap();
-        let v = run.waveforms.voltage("A", 1e-9).unwrap();
-        assert!(
-            (v - (-1.0f64).exp()).abs() < 2e-3,
-            "v(RC) = {v}, expected {}",
-            (-1.0f64).exp()
-        );
+        for (dt, interval, tol) in [
+            (1e-12, 10e-12, 2e-3),
+            (3e-12, 9e-12, 3e-3),
+            (4e-12, 12e-12, 3e-3),
+        ] {
+            let mut tr = MnaTransient::new(2e-9).with_initial("A", Volts(1.0));
+            tr.dt = dt;
+            let wf = tr.run(&c, &stim).unwrap().waveforms;
+            assert!((wf.sample_interval() - interval).abs() < 1e-24, "dt {dt}");
+            for (i, v) in wf.trace("A").unwrap().iter().enumerate() {
+                let exact = (-(i as f64) * wf.sample_interval() / 1e-9).exp();
+                assert!((v - exact).abs() < 1.5e-3, "dt {dt}: sample {i} = {v}");
+            }
+            let v = wf.voltage("A", 1e-9).unwrap();
+            assert!((v - (-1.0f64).exp()).abs() < tol, "dt {dt}: v(RC) = {v}");
+        }
     }
 
     #[test]
-    fn nmos_discharge_agrees_with_legacy_engine() {
-        use hifi_circuit::{TransistorClass, TransistorDims};
-        use hifi_units::Nanometers;
-        let mut nl = Netlist::new("rc");
+    fn nmos_discharge_matches_closed_form() {
+        // A W/L = 1 NMOS with its gate at 1.2 V discharges 200 fF (plus the
+        // default parasitic) from 1.1 V. Square-law physics: a constant
+        // saturation current ramps the node down to V_ov = 1.2 − VT_N, then
+        // the triode ODE C·dv/dt = −β(V_ov·v − v²/2) gives
+        // v(t) = 2·V_ov / (1 + e^{β·V_ov·(t − t₁)/C}).
+        let mut nl = Netlist::new("discharge");
+        let cap_net = nl.add_net("C");
+        let gnd = nl.add_net("GND");
+        let gate = nl.add_net("G");
+        nl.add_capacitor("c", Femtofarads(200.0), cap_net, gnd);
+        nl.add_mosfet(
+            "sw",
+            Polarity::Nmos,
+            TransistorClass::Access,
+            dims(1.0),
+            gate,
+            gnd,
+            cap_net,
+        );
+        let circuit = MnaCircuit::from_netlist(&nl);
+        let mut stim = Stimulus::new();
+        stim.hold("GND", Volts(0.0)).hold("G", Volts(1.2));
+
+        let (v0, c) = (1.1, (200.0 + MnaCircuit::DEFAULT_PARASITIC.value()) * 1e-15);
+        let beta = MosfetModel::KP; // KP·W/L with W/L = 1
+        let v_ov = 1.2 - MosfetModel::VT_N;
+        let i_sat = 0.5 * beta * v_ov * v_ov;
+        let t1 = (v0 - v_ov) * c / i_sat;
+        let exact = |t: f64| {
+            if t <= t1 {
+                v0 - i_sat * t / c
+            } else {
+                2.0 * v_ov / (1.0 + (beta * v_ov * (t - t1) / c).exp())
+            }
+        };
+        let worst_error = |dt: f64| {
+            let mut tr = MnaTransient::new(5e-9).with_initial("C", Volts(v0));
+            tr.dt = dt;
+            let wf = tr.run(&circuit, &stim).unwrap().waveforms;
+            let trace = wf.trace("C").unwrap();
+            assert_eq!(trace.len(), 501, "5 ns at a 10 ps sample interval");
+            trace
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v - exact(i as f64 * wf.sample_interval())).abs())
+                .fold(0.0f64, f64::max)
+        };
+        let errors = [5e-12, 2.5e-12, 1.25e-12].map(worst_error);
+        assert!(errors[0] < 1e-3, "worst error at 5 ps: {} V", errors[0]);
+        for w in errors.windows(2) {
+            assert!(
+                w[0] >= 1.8 * w[1],
+                "halving dt must halve the error (first order): {errors:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn switch_off_holds_charge() {
+        let mut nl = Netlist::new("hold");
         let cap_net = nl.add_net("C");
         let gnd = nl.add_net("GND");
         let gate = nl.add_net("G");
@@ -569,34 +636,56 @@ mod tests {
             "sw",
             Polarity::Nmos,
             TransistorClass::Access,
-            TransistorDims::new(Nanometers(400.0), Nanometers(100.0)),
+            dims(4.0),
             gate,
             gnd,
             cap_net,
         );
         let mut stim = Stimulus::new();
-        stim.hold("GND", Volts(0.0)).hold("G", Volts(1.2));
-
-        let mna = MnaCircuit::from_netlist(&nl);
+        stim.hold("GND", Volts(0.0)).hold("G", Volts(0.0)); // gate off
         let run = MnaTransient::new(5e-9)
             .with_initial("C", Volts(1.0))
-            .run(&mna, &stim)
+            .run(&MnaCircuit::from_netlist(&nl), &stim)
             .unwrap();
+        // Only the gmin leak moves the node: 1 pA for 5 ns on 50.5 fF.
+        assert!((run.waveforms.final_voltage("C").unwrap() - 1.0).abs() < 1e-6);
+    }
 
-        let legacy = crate::AnalogCircuit::from_netlist(&nl);
-        let wf = crate::Transient::new(5e-9)
-            .with_initial("C", Volts(1.0))
-            .run(&legacy, &stim)
-            .unwrap();
-
-        for t in [0.5e-9, 1e-9, 2e-9, 4e-9] {
-            let a = run.waveforms.voltage("C", t).unwrap();
-            let b = wf.voltage("C", t).unwrap();
-            assert!(
-                (a - b).abs() < 0.02,
-                "engines disagree at {t}: mna {a} vs legacy {b}"
-            );
-        }
+    #[test]
+    fn charge_sharing_matches_capacitor_divider() {
+        // 20 fF cell at 1.1 V dumped onto a 180 fF bitline precharged to 0.55 V:
+        // final = (20*1.1 + 180*0.55)/200 = 0.605 V.
+        let mut nl = Netlist::new("cs");
+        let bl = nl.add_net("BL");
+        let sn = nl.add_net("SN");
+        let gnd = nl.add_net("GND");
+        let wl = nl.add_net("WL");
+        nl.add_capacitor("cbl", Femtofarads(180.0), bl, gnd);
+        nl.add_capacitor("cs", Femtofarads(20.0), sn, gnd);
+        nl.add_mosfet(
+            "acc",
+            Polarity::Nmos,
+            TransistorClass::Access,
+            dims(2.0),
+            wl,
+            sn,
+            bl,
+        );
+        let circuit = MnaCircuit::from_netlist(&nl).with_parasitic(Femtofarads(0.001));
+        let mut stim = Stimulus::new();
+        stim.hold("GND", Volts(0.0));
+        stim.ramp("WL", 1e-9, 1.5e-9, 0.0, 2.4); // boosted wordline
+        let wf = MnaTransient::new(20e-9)
+            .with_initial("BL", Volts(0.55))
+            .with_initial("SN", Volts(1.1))
+            .run(&circuit, &stim)
+            .unwrap()
+            .waveforms;
+        let v = wf.final_voltage("BL").unwrap();
+        assert!((v - 0.605).abs() < 1e-3, "charge sharing gave {v}");
+        // Cell node equalises with the bitline.
+        let vs = wf.final_voltage("SN").unwrap();
+        assert!((vs - v).abs() < 1e-3);
     }
 
     #[test]
@@ -612,14 +701,19 @@ mod tests {
     }
 
     #[test]
-    fn invalid_timestep_is_rejected() {
+    fn invalid_timestep_names_the_offending_value() {
         let c = MnaCircuit::new();
         let stim = Stimulus::new();
+        let err = |tr: MnaTransient| tr.run(&c, &stim).unwrap_err();
         let mut tr = MnaTransient::new(1e-9);
-        tr.dt = 0.0;
-        assert!(matches!(
-            tr.run(&c, &stim),
-            Err(SimError::InvalidTimestep(_))
-        ));
+        tr.dt = -2e-12;
+        assert_eq!(err(tr), SimError::InvalidTimestep(-2e-12));
+        assert_eq!(
+            err(MnaTransient::new(-1e-9)),
+            SimError::InvalidTimestep(-1e-9)
+        );
+        let mut tr = MnaTransient::new(1e-9);
+        tr.dt_sample = 0.0;
+        assert_eq!(err(tr), SimError::InvalidTimestep(0.0));
     }
 }

@@ -65,10 +65,13 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn gaussian(rng: &mut StdRng) -> f64 {
+/// Draws a latch pair-mismatch offset (V): the difference of two `N(0, σ)`
+/// device thresholds, i.e. `N(0, σ·√2)`, by Box–Muller.
+pub(crate) fn pair_offset_v(rng: &mut StdRng, sigma_mv: f64) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    let gaussian = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    gaussian * sigma_mv * 1e-3 * std::f64::consts::SQRT_2
 }
 
 /// One Monte-Carlo sample's outcome.
@@ -132,7 +135,7 @@ impl McReport {
 fn run_sample(cfg: &McConfig, index: usize) -> McSample {
     let seed = sample_seed(cfg.seed, index as u64);
     let mut rng = StdRng::seed_from_u64(seed);
-    let offset_v = gaussian(&mut rng) * cfg.sigma_mv * 1e-3 * std::f64::consts::SQRT_2;
+    let offset_v = pair_offset_v(&mut rng, cfg.sigma_mv);
     let mut activation = cfg.base.clone();
     activation.nsa_vt_offset = offset_v;
 
@@ -143,10 +146,9 @@ fn run_sample(cfg: &McConfig, index: usize) -> McSample {
     for stored in [false, true] {
         let rep = try_simulate(cfg.topology, &activation, stored).expect("valid MC testbench");
         correct &= rep.correct;
-        if let Some(stats) = rep.solve_stats {
-            max_newton = max_newton.max(stats.max_newton_iterations);
-            worst_kcl = worst_kcl.max(stats.worst_kcl_residual_amps);
-        }
+        let stats = rep.solve_stats.unwrap_or_default();
+        max_newton = max_newton.max(stats.max_newton_iterations);
+        worst_kcl = worst_kcl.max(stats.worst_kcl_residual_amps);
         if stored {
             split_ps = rep.latch_split_time.map(|t| t * 1e12);
         }

@@ -9,9 +9,10 @@
 //! correctly — for the classic SA and the OCSA.
 
 use crate::events::{try_simulate, ActivationConfig};
+use crate::montecarlo::pair_offset_v;
 use hifi_circuit::topology::SaTopologyKind;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Monte-Carlo configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,12 +54,6 @@ pub struct YieldReport {
     pub yield_fraction: f64,
 }
 
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 /// Runs the Monte-Carlo yield experiment for one topology.
 ///
 /// # Panics
@@ -69,8 +64,7 @@ pub fn sensing_yield(topology: SaTopologyKind, config: &YieldConfig) -> YieldRep
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut good = 0usize;
     for _ in 0..config.trials {
-        // Pair mismatch: difference of two N(0, σ) thresholds.
-        let offset_v = gaussian(&mut rng) * config.sigma_mv * 1e-3 * std::f64::consts::SQRT_2;
+        let offset_v = pair_offset_v(&mut rng, config.sigma_mv);
         let mut cfg = config.base.clone();
         cfg.nsa_vt_offset = offset_v;
         let ok = [false, true].iter().all(|&stored| {

@@ -14,7 +14,7 @@
 //!   from voxel resolution, reconstruction accuracy, and the metamorphic
 //!   invariants (zero-noise exactness, mirror invariance, voxel-pitch
 //!   monotonicity).
-//! - [`shrink`] — greedy minimisation of failing specs to counterexamples
+//! - [`shrink`](mod@shrink) — greedy minimisation of failing specs to counterexamples
 //!   a human can read.
 //! - [`campaign`] — the seeded fan-out and its deterministic
 //!   [`ConformanceReport`] (bit-identical at any thread count).

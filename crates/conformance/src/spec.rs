@@ -4,7 +4,7 @@
 //! test case — which topology to fabricate, at what scale, through which
 //! imaging conditions. Specs are generated from a single `u64` seed, so a
 //! failing case is reproduced by its seed alone, and every field comes from
-//! a small palette so the hand-written shrinker (see [`crate::shrink`]) can
+//! a small palette so the hand-written shrinker (see [`crate::shrink()`]) can
 //! walk toward [`ChipSpec::minimal`] in a handful of steps.
 
 use hifi_circuit::topology::{SaDimensions, SaTopologyKind};

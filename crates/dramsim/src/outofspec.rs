@@ -139,7 +139,7 @@ pub struct TruncatedRestoreOutcome {
 
 /// Activates a row and precharges after only `act_to_pre` (violating tRAS),
 /// then reopens the row and checks the data — the transistor-speed
-/// experiments of [68] and latency studies rely on this behaviour.
+/// experiments of \[68\] and latency studies rely on this behaviour.
 ///
 /// # Errors
 ///

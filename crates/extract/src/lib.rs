@@ -16,10 +16,10 @@
 //! 3. [`netlist`] — recognise channels (gate ∩ active), split source/drain,
 //!    trace contacts and vias across layers, and emit a
 //!    [`hifi_circuit::Netlist`],
-//! 4. [`classify`] — assign functional classes using the paper's own
+//! 4. [`classify`](mod@classify) — assign functional classes using the paper's own
 //!    heuristics (latch = gates on bitlines; common-gate strips =
 //!    precharge/EQ/ISO/OC; pSA narrower than nSA; column first after MAT),
-//! 5. [`measure`] — per-class dimension statistics (W from the gate∩active
+//! 5. [`measure`](mod@measure) — per-class dimension statistics (W from the gate∩active
 //!    overlap, L from the source–drain pitch; Section V-B).
 //!
 //! # Examples

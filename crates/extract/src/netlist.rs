@@ -29,7 +29,7 @@ pub struct ExtractedDevice {
 #[derive(Debug, Clone)]
 pub struct Extraction {
     /// The extracted netlist (classes/polarities are refined by
-    /// [`crate::classify`]).
+    /// [`crate::classify()`]).
     pub netlist: Netlist,
     /// Per-transistor extraction metadata, aligned with netlist device ids.
     pub devices: Vec<ExtractedDevice>,

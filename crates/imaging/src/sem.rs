@@ -440,7 +440,7 @@ pub struct AcquirePlan {
 impl AcquirePlan {
     /// Builds the schedule for a die of `(nx, ny, nz)` voxels. Walks the
     /// single sequential RNG stream exactly as a monolithic acquisition
-    /// would (see [`skip_gaussians`]).
+    /// would (see `skip_gaussians`).
     pub fn for_dims(nx: usize, ny: usize, nz: usize, cfg: &ImagingConfig) -> Self {
         let step = cfg.slice_voxels.max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -563,7 +563,7 @@ impl AcquirePlan {
 /// walks the single RNG stream — drawing each slice's drift and brightness
 /// innovations and snapshotting the state its noise starts from — and the
 /// parallel pass replays each slice's noise draws from its snapshot (see
-/// [`skip_gaussians`]).
+/// `skip_gaussians`).
 ///
 /// Returns the stack and the ground-truth artefacts (for validation only —
 /// the post-processing never sees them). [`acquire_with`] adds streaming

@@ -162,7 +162,8 @@ fn consistent_candidates(
 }
 
 /// Runs the full disturbance characterization. `polarity` is the row
-/// polarity map from the retention campaign (see [`recover_row_xor`]);
+/// polarity map from the retention campaign (see
+/// [`RetentionOutcome::polarity`](crate::retention::RetentionOutcome::polarity));
 /// pass an empty slice to skip the polarity cross-check.
 pub fn characterize_disturbance(
     bb: &mut BlackBox,

@@ -221,7 +221,7 @@ impl<'a> Reader<'a> {
 const VOLUME_MAGIC: &[u8; 4] = b"HVOL";
 
 /// Encodes a material volume: geometry, layer stack, then the voxel bytes
-/// in [`CHUNK`]-sized runs of simple `(count, value)` RLE — oxide dominates
+/// in `CHUNK`-sized runs of simple `(count, value)` RLE — oxide dominates
 /// every region, so this typically compresses >10×.
 pub fn encode_volume(v: &MaterialVolume) -> Vec<u8> {
     let mut w = Writer::magic(VOLUME_MAGIC);

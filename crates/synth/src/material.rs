@@ -294,7 +294,7 @@ impl MaterialVolume {
     }
 
     /// The raw voxel bytes, `x`-major within `y` within `z` (the exact
-    /// [`MaterialVolume::index`] layout). Every byte is a valid
+    /// `MaterialVolume::index` layout). Every byte is a valid
     /// [`Material`] discriminant. Used by `hifi-store`'s binary codec.
     pub fn raw_voxels(&self) -> &[u8] {
         &self.data

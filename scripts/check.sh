@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: formatting, lints, thread-count determinism, and
-# regen-output drift.
+# Repo health gate: formatting, lints, rustdoc links, thread-count
+# determinism, and regen-output drift.
 #
 #   scripts/check.sh              # run everything
 #   scripts/check.sh --no-drift   # lint only: skip tests + regen drift
@@ -47,6 +47,9 @@ if [[ "$run_lint" -eq 1 ]]; then
 
     echo "==> cargo clippy --workspace -- -D warnings"
     cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+
+    echo "==> cargo doc --workspace (rustdoc warnings are errors)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 fi
 
 if [[ "$run_tests" -eq 1 ]]; then

@@ -7,7 +7,7 @@
 #   scripts/ci.sh <job> [...]   # run specific jobs
 #
 # Jobs:
-#   lint          cargo fmt --check + clippy -D warnings
+#   lint          cargo fmt --check + clippy -D warnings + rustdoc -D warnings
 #   test          tier-1 test suite at 1 thread and at available_parallelism,
 #                 then the perfbench/ package's build and tests
 #   regen-drift   regen snapshot drift + artifact-store cold/warm/gc round

@@ -1,7 +1,7 @@
 //! Property-based tests on the analog substrate: device-model invariants,
 //! waveform interpolation, and charge conservation in the solver.
 
-use hifi_dram::analog::{AnalogCircuit, MosfetModel, Stimulus, Transient, Waveform};
+use hifi_dram::analog::{MnaCircuit, MnaTransient, MosfetModel, Stimulus, Waveform};
 use hifi_dram::circuit::{Netlist, Polarity, TransistorClass, TransistorDims};
 use hifi_dram::units::{charge_sharing_delta, Femtofarads, Nanometers, Volts};
 use proptest::prelude::*;
@@ -73,17 +73,23 @@ proptest! {
             "sw", Polarity::Nmos, TransistorClass::Access,
             TransistorDims::new(Nanometers(400.0), Nanometers(50.0)), g, a, b,
         );
-        let circuit = AnalogCircuit::from_netlist(&nl).with_parasitic(Femtofarads(0.001));
+        let circuit = MnaCircuit::from_netlist(&nl).with_parasitic(Femtofarads(0.001));
         let mut stim = Stimulus::new();
         stim.hold("GND", Volts(0.0)).hold("G", Volts(2.4));
-        let tr = Transient::new(30e-9)
+        let run = MnaTransient::new(30e-9)
             .with_initial("A", Volts(v0))
-            .with_initial("B", Volts(0.0));
-        let wf = tr.run(&circuit, &stim).expect("runs");
-        let va = wf.final_voltage("A").unwrap();
-        let vb = wf.final_voltage("B").unwrap();
+            .with_initial("B", Volts(0.0))
+            .run(&circuit, &stim)
+            .expect("runs");
+        prop_assert!(
+            run.stats.worst_kcl_residual_amps < 1e-9,
+            "KCL residual {} A",
+            run.stats.worst_kcl_residual_amps
+        );
+        let va = run.waveforms.final_voltage("A").unwrap();
+        let vb = run.waveforms.final_voltage("B").unwrap();
         let expected = v0 * c_a / (c_a + c_b);
-        prop_assert!((va - vb).abs() < 0.02, "not settled: {va} vs {vb}");
-        prop_assert!((va - expected).abs() < 0.05, "va {va} expected {expected}");
+        prop_assert!((va - vb).abs() < 1e-6, "not settled: {va} vs {vb}");
+        prop_assert!((va - expected).abs() < 1e-3, "va {va} expected {expected}");
     }
 }
