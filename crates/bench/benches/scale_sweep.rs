@@ -1,20 +1,20 @@
-//! Full-die scale sweep: throughput and memory of the streaming-tiled path.
+//! Full-die scale sweep: throughput and memory of the slab-streaming path.
 //!
 //! The paper's die-scale ambition (Section VII extrapolates from one SA
-//! region to full-die imaging) needs the pipeline to process volumes far
-//! larger than RAM. This bench streams synthetic dies of 1×, 16× and 256×
-//! the base MAT+SA region through the tiled acquire → denoise →
-//! reconstruct path:
+//! region to full-die imaging) needs the imaging flow to process volumes
+//! far larger than RAM. `Pipeline::run` holds whole volumes, so this bench
+//! streams synthetic dies of 1×, 16× and 256× the base MAT+SA region slab
+//! by slab through render → denoise → reconstruct:
 //!
 //! - the die is **never materialized** — `periodic_slab_x` synthesizes one
 //!   x-slab at a time from the base region's periodic repetition,
 //! - the [`AcquirePlan`] walks the whole die's artefact schedule up front
 //!   (O(slices) memory) so every slab renders bit-identically to a
-//!   monolithic acquisition,
+//!   whole-volume `acquire`,
 //! - each slab's slices are rendered in parallel, TV-denoised, folded into
 //!   a slab reconstruction and dropped before the next slab begins.
 //!
-//! Peak working memory is therefore O(tile), not O(die) — asserted via the
+//! Peak working memory is therefore O(slab), not O(die) — asserted via the
 //! counting allocator when the `alloc-track` feature is enabled. Headline
 //! numbers (`scale_sweep.voxels_per_sec`, `scale_sweep.slices_per_sec_256x`)
 //! land in `BENCH_results.json` as higher-is-better `per_sec` metrics for

@@ -13,8 +13,8 @@ use hifi_data::Chip;
 use hifi_extract::{measure, ExtractError, Extraction, MeasurementConfidence, MeasurementReport};
 use hifi_faults::{Exhausted, FaultPlan, FaultSpec, RetryError, RetryPolicy, VirtualClock};
 use hifi_imaging::{
-    acquire_with, align_with, denoise_profiled, metrics, reconstruct, reconstruct_tiled,
-    render_ideal, AcquireOpts, AlignMethod, ImagingConfig, Recovery,
+    acquire_with, align_with, denoise_profiled, metrics, reconstruct, render_ideal, AcquireOpts,
+    AlignMethod, ImagingConfig, Recovery,
 };
 use hifi_store::fingerprint::salts;
 use hifi_store::{
@@ -139,13 +139,6 @@ pub struct PipelineConfig {
     pub faults: Option<FaultSpec>,
     /// How transient failures (injected or environmental) are retried.
     pub retry: RetryPolicy,
-    /// Streaming tile width (x-voxel columns per slab) for the volume
-    /// stages; `None` runs them monolithically. Tiling is a pure execution
-    /// knob: voxelize, acquire and reconstruct stream the die one slab at
-    /// a time with O(tile) working memory but produce bit-identical
-    /// artifacts, so it deliberately does **not** enter store fingerprints
-    /// — tiled and monolithic runs share cache entries.
-    pub tile_x: Option<usize>,
 }
 
 impl PipelineConfig {
@@ -162,20 +155,7 @@ impl PipelineConfig {
             store_handle: None,
             faults: None,
             retry: RetryPolicy::default(),
-            tile_x: None,
         }
-    }
-
-    /// Streams the volume stages in x-slabs of `tile_x` voxel columns
-    /// (builder style). Outputs stay bit-identical to the monolithic run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_x` is zero.
-    pub fn with_tiling(mut self, tile_x: usize) -> Self {
-        assert!(tile_x > 0, "tile must span at least one voxel column");
-        self.tile_x = Some(tile_x);
-        self
     }
 
     /// Enables the artifact store rooted at `path` for this pipeline.
@@ -485,10 +465,7 @@ impl Pipeline {
             codec::encode_volume,
             |rec| {
                 ctx.guarded("voxelize", || {
-                    with_span(rec, "voxelize", |_| match cfg.tile_x {
-                        Some(t) => region.voxelize_tiled(t),
-                        None => region.voxelize(),
-                    })
+                    with_span(rec, "voxelize", |_| region.voxelize())
                 })
             },
         )?;
@@ -514,7 +491,6 @@ impl Pipeline {
                             clock: &ctx.clock,
                         });
                         let opts = AcquireOpts {
-                            tile_x: cfg.tile_x,
                             recovery,
                             lanes: lanes.as_ref(),
                         };
@@ -581,16 +557,7 @@ impl Pipeline {
                     codec::encode_volume,
                     |rec| {
                         ctx.guarded("reconstruct", || {
-                            with_span(rec, "reconstruct", |_| match cfg.tile_x {
-                                // A tile of `tile_x` voxel columns holds
-                                // `tile_x / slice_voxels` slices' worth of
-                                // reconstructed planes.
-                                Some(t) => {
-                                    let step = imaging_cfg.slice_voxels.max(1);
-                                    reconstruct_tiled(&stack, (t / step).max(1))
-                                }
-                                None => reconstruct(&stack),
-                            })
+                            with_span(rec, "reconstruct", |_| reconstruct(&stack))
                         })
                     },
                 )?;
@@ -1163,7 +1130,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_shape_is_pinned_across_store_tiling_and_faults() {
+    fn trace_shape_is_pinned_across_store_and_faults() {
         use hifi_faults::FaultSpec;
         let root = std::env::temp_dir().join(format!("hifi-shape-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -1211,10 +1178,8 @@ mod tests {
                 (5, 0),
             ),
             (
-                "imaged, tiled, recoverable faults",
-                imaged
-                    .with_tiling(7)
-                    .with_faults(FaultSpec::uniform(3, 0.5)),
+                "imaged, recoverable faults",
+                imaged.with_faults(FaultSpec::uniform(3, 0.5)),
                 format!("generate voxelize {imaging_spans} {extract_spans} {replayed_spans}"),
                 all_lanes,
                 (0, 0),

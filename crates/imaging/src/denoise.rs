@@ -77,8 +77,8 @@ fn dual_step(p1: &mut [f32], p2: &mut [f32], i: usize, gx: f32, gy: f32, lambda:
     p2[i] = (p2[i] + tau * g2) / denom;
 }
 
-/// [`chambolle_tv`] against caller-owned scratch buffers, so tiled and
-/// per-stack denoising reuse one arena across slices.
+/// [`chambolle_tv`] against caller-owned scratch buffers, so a denoising
+/// loop reuses one arena across slices.
 ///
 /// The primal `u = f − λ·div p` is materialized once per dual iteration
 /// into `scratch.u` — the dual ascent reads each value three times (here /

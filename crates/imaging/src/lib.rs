@@ -8,10 +8,10 @@
 //!
 //! - [`acquire`] — slices a [`hifi_synth::MaterialVolume`] like a Ga-FIB and
 //!   renders SE/BSE images with shot noise, cumulative stage drift and
-//!   brightness wander; [`acquire_with`] runs the same acquisition
-//!   streamed in x-slabs, under a fault plan with per-slice retry, or
-//!   lane-profiled, bit-identical to [`acquire`] unless a slice exhausts
-//!   its retries,
+//!   brightness wander; [`acquire_with`] runs the same acquisition under
+//!   a fault plan with per-slice retry, or lane-profiled, bit-identical to
+//!   [`acquire`] unless a slice exhausts its retries; [`AcquirePlan`]
+//!   renders any slice from an x-slab of the die, for streaming,
 //! - [`denoise`] — Chambolle total-variation denoising (the same algorithm
 //!   family the paper runs in Dragonfly),
 //! - [`align`] — mutual-information rigid slice alignment, each slice against
@@ -43,7 +43,7 @@ pub use denoise::{
     average_slices, chambolle_tv, chambolle_tv_with, denoise, denoise_profiled, median3x3,
     TvScratch,
 };
-pub use reconstruct::{classify_pixel, reconstruct, reconstruct_slab, reconstruct_tiled};
+pub use reconstruct::{classify_pixel, reconstruct};
 pub use sem::{
     acquire, acquire_with, render_ideal, AcquireOpts, AcquireOutcome, AcquirePlan, DetectorKind,
     DriftTruth, ImageStack, ImagingConfig, Recovery, SemImage,

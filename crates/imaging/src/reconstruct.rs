@@ -31,38 +31,22 @@ pub fn classify_pixel(intensity: f32, detector: DetectorKind) -> Material {
 ///
 /// Each slice becomes `slice_voxels` planes along X (nearest-neighbour
 /// interpolation between FIB cuts, as in any serial-sectioning
-/// reconstruction).
+/// reconstruction). Classification is purely per-pixel, so a streaming
+/// consumer reconstructs a die slab by slab by passing each slab's slices
+/// as a stack of their own.
 ///
 /// # Panics
 ///
 /// Panics if the stack is empty.
 pub fn reconstruct(stack: &ImageStack) -> MaterialVolume {
     assert!(!stack.is_empty(), "cannot reconstruct an empty stack");
-    reconstruct_slab(stack, 0, stack.len())
-}
-
-/// Reconstructs only slices `[lo, hi)` of the stack into a volume slab of
-/// `(hi − lo) · slice_voxels` planes along X — bit-identical to the same
-/// x-slab of a full [`reconstruct`]. Classification is purely per-pixel,
-/// so a streaming consumer can reconstruct, consume and drop one slab at
-/// a time with O(slab) peak memory.
-///
-/// # Panics
-///
-/// Panics if the range is empty or out of bounds.
-pub fn reconstruct_slab(stack: &ImageStack, lo: usize, hi: usize) -> MaterialVolume {
-    assert!(
-        lo < hi && hi <= stack.len(),
-        "slab [{lo}, {hi}) out of range for {} slices",
-        stack.len()
-    );
     let margin = stack.frame_margin_px();
-    let (py, pz) = stack.slice(lo).dims();
+    let (py, pz) = stack.slice(0).dims();
     let (ny, nz) = (py - 2 * margin, pz - 2 * margin);
     let step = stack.slice_voxels().max(1);
-    let nx = (hi - lo) * step;
+    let nx = stack.len() * step;
     let mut vol = MaterialVolume::new(nx, ny, nz, stack.pixel_nm(), LayerStack::default_dram());
-    for (i, slice) in stack.slices()[lo..hi].iter().enumerate() {
+    for (i, slice) in stack.slices().iter().enumerate() {
         for z in 0..nz {
             for y in 0..ny {
                 let m = classify_pixel(slice.get(y + margin, z + margin), stack.detector());
@@ -73,35 +57,6 @@ pub fn reconstruct_slab(stack: &ImageStack, lo: usize, hi: usize) -> MaterialVol
                 }
             }
         }
-    }
-    vol
-}
-
-/// [`reconstruct`] assembled tile-by-tile, `tile_slices` slices per slab —
-/// bit-identical to the monolithic reconstruction.
-///
-/// # Panics
-///
-/// Panics if the stack is empty or `tile_slices` is zero.
-pub fn reconstruct_tiled(stack: &ImageStack, tile_slices: usize) -> MaterialVolume {
-    assert!(!stack.is_empty(), "cannot reconstruct an empty stack");
-    assert!(tile_slices > 0, "tile must hold at least one slice");
-    let margin = stack.frame_margin_px();
-    let (py, pz) = stack.slice(0).dims();
-    let (ny, nz) = (py - 2 * margin, pz - 2 * margin);
-    let step = stack.slice_voxels().max(1);
-    let mut vol = MaterialVolume::new(
-        stack.len() * step,
-        ny,
-        nz,
-        stack.pixel_nm(),
-        LayerStack::default_dram(),
-    );
-    let mut lo = 0usize;
-    while lo < stack.len() {
-        let hi = (lo + tile_slices).min(stack.len());
-        vol.write_slab_x(lo * step, &reconstruct_slab(stack, lo, hi));
-        lo = hi;
     }
     vol
 }
@@ -203,8 +158,10 @@ mod tests {
         );
     }
 
+    /// What `die_stream` does per slab: reconstructing slices `[lo, hi)` as
+    /// a stack of their own yields the same x-range of the full volume.
     #[test]
-    fn tiled_reconstruction_matches_monolithic() {
+    fn sub_stack_reconstruction_matches_full_crop() {
         let v = volume();
         let cfg = ImagingConfig {
             dwell_us: 6.0,
@@ -217,16 +174,16 @@ mod tests {
         let (stack, _) = acquire(&v, &cfg);
         let full = reconstruct(&stack);
         let step = stack.slice_voxels();
-        for tile in [1, 2, 3, stack.len() - 1, stack.len(), stack.len() + 4] {
-            let tiled = reconstruct_tiled(&stack, tile);
-            assert_eq!(tiled.dims(), full.dims(), "tile {tile}");
-            assert_eq!(tiled.raw_voxels(), full.raw_voxels(), "tile {tile}");
-        }
-        // Each slab in isolation equals the matching x-range of the full volume.
         for (lo, hi) in [(0, 1), (1, 3), (0, stack.len()), (2, stack.len())] {
-            let slab = reconstruct_slab(&stack, lo, hi);
+            let sub = ImageStack::from_slices(
+                stack.slices()[lo..hi].to_vec(),
+                stack.pixel_nm(),
+                step,
+                stack.detector(),
+            )
+            .with_frame_margin(stack.frame_margin_px());
             let crop = full.crop(lo * step, hi * step, 0, full.dims().1);
-            assert_eq!(slab.raw_voxels(), crop.raw_voxels(), "slab [{lo}, {hi})");
+            assert_eq!(reconstruct(&sub), crop, "slices [{lo}, {hi})");
         }
     }
 

@@ -427,8 +427,8 @@ struct SliceArtefacts {
 
 /// The sequential artefact schedule of an acquisition: per-slice drift,
 /// brightness and noise-RNG snapshots, derived from the die *dimensions*
-/// alone. This is what lets tiled acquisition stream a full-die volume
-/// slab by slab while staying bit-identical to a monolithic run — the
+/// alone. This is what lets a streaming consumer image a full die slab by
+/// slab while staying bit-identical to a whole-volume [`acquire`] — the
 /// schedule is O(slices) in memory, independent of the voxel payload, and
 /// any slice can then be rendered from whichever x-slab contains it.
 pub struct AcquirePlan {
@@ -439,7 +439,7 @@ pub struct AcquirePlan {
 
 impl AcquirePlan {
     /// Builds the schedule for a die of `(nx, ny, nz)` voxels. Walks the
-    /// single sequential RNG stream exactly as a monolithic acquisition
+    /// single sequential RNG stream exactly as a whole-volume acquisition
     /// would (see `skip_gaussians`).
     pub fn for_dims(nx: usize, ny: usize, nz: usize, cfg: &ImagingConfig) -> Self {
         let step = cfg.slice_voxels.max(1);
@@ -566,8 +566,8 @@ impl AcquirePlan {
 /// `skip_gaussians`).
 ///
 /// Returns the stack and the ground-truth artefacts (for validation only —
-/// the post-processing never sees them). [`acquire_with`] adds streaming
-/// tiles, fault recovery and lane profiling.
+/// the post-processing never sees them). [`acquire_with`] adds fault
+/// recovery and lane profiling.
 pub fn acquire(volume: &MaterialVolume, cfg: &ImagingConfig) -> (ImageStack, DriftTruth) {
     let out = acquire_with(volume, cfg, &AcquireOpts::default());
     (out.stack, out.truth)
@@ -586,13 +586,10 @@ pub struct Recovery<'a> {
     pub clock: &'a VirtualClock,
 }
 
-/// How [`acquire_with`] executes. The default (monolithic, fault-free,
-/// unprofiled) is [`acquire`].
+/// How [`acquire_with`] executes. The default (fault-free, unprofiled) is
+/// [`acquire`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AcquireOpts<'a> {
-    /// Streams the volume in x-slabs of this many voxel columns, one slab
-    /// buffer reused across tiles; `None` renders from the whole volume.
-    pub tile_x: Option<usize>,
     /// Consults a fault plan for every slice acquisition and re-acquires
     /// failed ones; `None` acquires fault-free.
     pub recovery: Option<Recovery<'a>>,
@@ -616,21 +613,17 @@ pub struct AcquireOutcome {
     pub degraded_slices: Vec<usize>,
 }
 
-/// [`acquire`] under the execution options of `opts`.
-///
-/// Tiling never changes the output: the artefact schedule
-/// ([`AcquirePlan`]) is shared and every slice reads only its own voxel
-/// column, so a tiled stack is bit-identical to the monolithic one at any
-/// tile width and thread count.
+/// [`acquire`] under the execution options of `opts`: every scheduled
+/// slice of the [`AcquirePlan`] renders from `volume` in one parallel map.
 ///
 /// Under [`AcquireOpts::recovery`] each slice acquisition consults the plan
 /// and, when a fault is injected, is re-acquired under the policy with
 /// backoff charged to the clock. A re-acquired slice replays the same RNG
 /// snapshot, so a recovered stack is **bit-identical** to a clean one at
-/// any thread count and tile width. A slice that exhausts its retries is
-/// interpolated from its nearest intact neighbours (mean of both sides,
-/// copy of one side at the stack edges, oxide fill if every slice failed)
-/// and flagged in [`AcquireOutcome::degraded_slices`].
+/// any thread count. A slice that exhausts its retries is interpolated
+/// from its nearest intact neighbours (mean of both sides, copy of one
+/// side at the stack edges, oxide fill if every slice failed) and flagged
+/// in [`AcquireOutcome::degraded_slices`].
 pub fn acquire_with(
     volume: &MaterialVolume,
     cfg: &ImagingConfig,
@@ -640,8 +633,8 @@ pub fn acquire_with(
 
     // Every slice renders, shifts and replays its noise draws
     // independently; `None` marks a slice that exhausted its retries.
-    let acquire_one = |src: &MaterialVolume, x0: usize, i: usize| -> Option<SemImage> {
-        let render = || aplan.render(src, x0, i, cfg);
+    let acquire_one = |i: usize| -> Option<SemImage> {
+        let render = || aplan.render(volume, 0, i, cfg);
         let Some(Recovery {
             plan,
             policy,
@@ -677,20 +670,10 @@ pub fn acquire_with(
             }
         }
     };
-    // Slabs are walked in x order and each slab's slices render in
-    // parallel; the monolithic path is the one-slab case.
-    let mut rendered: Vec<Option<SemImage>> = Vec::with_capacity(aplan.len());
-    let mut render_slab = |slab: &MaterialVolume, x0: usize| {
-        let (slab_nx, _, _) = slab.dims();
-        let indices: Vec<usize> = aplan.slices_in_slab(x0, x0 + slab_nx).collect();
-        rendered.extend(rayon::par_map(&indices, |&i| {
-            lane_timed(opts.lanes, "acquire.slice", || acquire_one(slab, x0, i))
-        }));
-    };
-    match opts.tile_x {
-        Some(t) => volume.for_each_slab_x(t, render_slab),
-        None => render_slab(volume, 0),
-    }
+    let indices: Vec<usize> = (0..aplan.len()).collect();
+    let mut rendered = rayon::par_map(&indices, |&i| {
+        lane_timed(opts.lanes, "acquire.slice", || acquire_one(i))
+    });
 
     let degraded_slices: Vec<usize> = rendered
         .iter()
@@ -852,9 +835,6 @@ mod tests {
                 .flat_map(|img| img.pixels().iter().map(|p| p.to_bits()))
                 .collect()
         };
-        // Tile widths that divide, straddle and exceed the die, including
-        // tiles narrower than the slice step (slabs with no slice).
-        let tiles = [1usize, 2, 3, 4, 5, 7, 9, 19, 20, 32, 64];
         let policy = RetryPolicy::default();
         // One slice per voxel column, and a step that leaves gaps.
         for slice_voxels in [1usize, 3] {
@@ -863,44 +843,39 @@ mod tests {
                 ..Default::default()
             };
             let (mono, mono_truth) = acquire(&v, &cfg);
-            for tile_x in std::iter::once(None).chain(tiles.map(Some)) {
-                for faulted in [false, true] {
-                    for profiled in [false, true] {
-                        let case = format!(
-                            "step {slice_voxels}, tile {tile_x:?}, faults {faulted}, lanes {profiled}"
-                        );
-                        let (plan, clock, lanes) = (
-                            recoverable_plan(),
-                            VirtualClock::new(),
-                            LaneProfiler::new(0),
-                        );
-                        let recovery = faulted.then_some(Recovery {
-                            plan: &plan,
-                            policy: &policy,
-                            clock: &clock,
-                        });
-                        let opts = AcquireOpts {
-                            tile_x,
-                            recovery,
-                            lanes: profiled.then_some(&lanes),
-                        };
-                        let out = acquire_with(&v, &cfg, &opts);
-                        assert_eq!(out.stack, mono, "{case}");
-                        assert_eq!(bits(&out.stack), bits(&mono), "{case}");
-                        assert_eq!(out.truth, mono_truth, "{case}");
-                        assert!(out.degraded_slices.is_empty(), "{case}");
-                        // A faulted run must inject, recover every slice and
-                        // charge its backoff to the virtual clock.
-                        let tally = plan.tally();
-                        assert_eq!(tally.injected > 0, faulted, "{case}");
-                        assert_eq!(tally.recovered > 0, faulted, "{case}");
-                        assert_eq!(tally.degraded, 0, "{case}");
-                        assert_eq!(!clock.elapsed().is_zero(), faulted, "{case}");
-                        let spans = lanes.drain();
-                        let want = if profiled { mono.len() } else { 0 };
-                        assert_eq!(spans.len(), want, "{case}");
-                        assert!(spans.iter().all(|s| s.name == "acquire.slice"), "{case}");
-                    }
+            for faulted in [false, true] {
+                for profiled in [false, true] {
+                    let case = format!("step {slice_voxels}, faults {faulted}, lanes {profiled}");
+                    let (plan, clock, lanes) = (
+                        recoverable_plan(),
+                        VirtualClock::new(),
+                        LaneProfiler::new(0),
+                    );
+                    let recovery = faulted.then_some(Recovery {
+                        plan: &plan,
+                        policy: &policy,
+                        clock: &clock,
+                    });
+                    let opts = AcquireOpts {
+                        recovery,
+                        lanes: profiled.then_some(&lanes),
+                    };
+                    let out = acquire_with(&v, &cfg, &opts);
+                    assert_eq!(out.stack, mono, "{case}");
+                    assert_eq!(bits(&out.stack), bits(&mono), "{case}");
+                    assert_eq!(out.truth, mono_truth, "{case}");
+                    assert!(out.degraded_slices.is_empty(), "{case}");
+                    // A faulted run must inject, recover every slice and
+                    // charge its backoff to the virtual clock.
+                    let tally = plan.tally();
+                    assert_eq!(tally.injected > 0, faulted, "{case}");
+                    assert_eq!(tally.recovered > 0, faulted, "{case}");
+                    assert_eq!(tally.degraded, 0, "{case}");
+                    assert_eq!(!clock.elapsed().is_zero(), faulted, "{case}");
+                    let spans = lanes.drain();
+                    let want = if profiled { mono.len() } else { 0 };
+                    assert_eq!(spans.len(), want, "{case}");
+                    assert!(spans.iter().all(|s| s.name == "acquire.slice"), "{case}");
                 }
             }
         }
@@ -923,6 +898,42 @@ mod tests {
         assert_eq!(covered, all, "every slice in exactly one slab");
         for i in 0..plan.len() {
             assert_eq!(plan.slice_x(i), i * 3);
+        }
+    }
+
+    /// The streaming contract `die_stream` and `scale_sweep` rely on: a
+    /// slice rendered from any x-slab that holds its milling position is
+    /// bit-identical to the same slice of a whole-volume acquisition.
+    #[test]
+    fn slab_renders_match_whole_volume_renders() {
+        let v = test_volume();
+        let (nx, _, _) = v.dims();
+        let bits =
+            |img: &SemImage| -> Vec<u32> { img.pixels().iter().map(|p| p.to_bits()).collect() };
+        // Slab widths narrower than, straddling and equal to the slice
+        // step and the die.
+        for slice_voxels in [1usize, 3] {
+            let cfg = ImagingConfig {
+                slice_voxels,
+                ..Default::default()
+            };
+            let (whole, _) = acquire(&v, &cfg);
+            let plan = AcquirePlan::for_volume(&v, &cfg);
+            for width in [1usize, 2, 3, 7, 19, 20] {
+                let mut rendered = Vec::new();
+                for x0 in (0..nx).step_by(width) {
+                    let x1 = (x0 + width).min(nx);
+                    let slab = v.periodic_slab_x(x0, x1);
+                    for i in plan.slices_in_slab(x0, x1) {
+                        let img = plan.render(&slab, x0, i, &cfg);
+                        let case = format!("step {slice_voxels}, width {width}, slice {i}");
+                        assert_eq!(bits(&img), bits(whole.slice(i)), "{case}");
+                        rendered.push(i);
+                    }
+                }
+                let all: Vec<usize> = (0..whole.len()).collect();
+                assert_eq!(rendered, all, "step {slice_voxels}, width {width}");
+            }
         }
     }
 

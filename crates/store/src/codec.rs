@@ -266,42 +266,6 @@ pub fn encode_volume(v: &MaterialVolume) -> Vec<u8> {
 /// do not add up to the declared chunk length, or voxel bytes outside the
 /// material alphabet.
 pub fn decode_volume(buf: &[u8]) -> Result<MaterialVolume, CodecError> {
-    view_volume(buf)?.to_volume()
-}
-
-/// One RLE chunk of a volume blob: its expanded length and the borrowed
-/// `(run: u32, value: u8)` pair bytes, validated at parse time.
-#[derive(Debug, Clone, Copy)]
-struct ChunkEntry<'a> {
-    raw_len: usize,
-    pairs: &'a [u8],
-}
-
-/// A zero-copy view over an [`encode_volume`] blob: the header (geometry,
-/// layer stack) is decoded eagerly and every RLE chunk is structurally
-/// validated, but voxel payloads stay **borrowed** from the blob until a
-/// chunk is explicitly expanded. A streaming consumer decodes one chunk at
-/// a time into a reused buffer — O(chunk) working memory instead of the
-/// O(die) allocation of [`decode_volume`].
-#[derive(Debug, Clone)]
-pub struct VolumeView<'a> {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    voxel_nm: f64,
-    extents: [LayerExtent; 7],
-    chunks: Vec<ChunkEntry<'a>>,
-}
-
-/// Parses an [`encode_volume`] blob into a [`VolumeView`] without
-/// materializing the voxel data.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on the same structural damage [`decode_volume`]
-/// rejects, except voxel bytes outside the material alphabet (checked only
-/// when a chunk is expanded into a volume).
-pub fn view_volume(buf: &[u8]) -> Result<VolumeView<'_>, CodecError> {
     let mut r = Reader::new(buf, "MaterialVolume", VOLUME_MAGIC)?;
     let nx = r.usize("volume nx")?;
     let ny = r.usize("volume ny")?;
@@ -335,115 +299,38 @@ pub fn view_volume(buf: &[u8]) -> Result<VolumeView<'_>, CodecError> {
                 what: "volume dimensions",
             })?;
     let n_chunks = r.count(8, "volume chunk count")?;
-    let mut chunks = Vec::with_capacity(n_chunks);
-    let mut total = 0usize;
+    let mut data = Vec::with_capacity(expected_len.min(n_chunks.saturating_mul(CHUNK)));
     for _ in 0..n_chunks {
         let raw_len = r.u32("chunk length")? as usize;
-        if raw_len > CHUNK || total + raw_len > expected_len {
+        if raw_len > CHUNK || data.len() + raw_len > expected_len {
             return Err(CodecError::Invalid {
                 what: "volume chunk length",
             });
         }
+        let chunk_end = data.len() + raw_len;
         let n_pairs = r.count(5, "chunk pair count")?;
-        let pairs = r.take(n_pairs * 5, "rle run")?;
-        let mut produced = 0usize;
-        for pair in pairs.chunks_exact(5) {
+        // Each `(run: u32, value: u8)` pair is checked against what is left
+        // of the chunk before it expands.
+        for pair in r.take(n_pairs * 5, "rle run")?.chunks_exact(5) {
             let run = u32::from_le_bytes(pair[..4].try_into().unwrap()) as usize;
-            produced = produced.checked_add(run).ok_or(CodecError::Invalid {
-                what: "rle run length",
-            })?;
-            if produced > raw_len {
+            if run > chunk_end - data.len() {
                 return Err(CodecError::Invalid {
                     what: "rle run length",
                 });
             }
+            data.resize(data.len() + run, pair[4]);
         }
-        if produced != raw_len {
+        if data.len() != chunk_end {
             return Err(CodecError::Invalid {
                 what: "rle chunk total",
             });
         }
-        total += raw_len;
-        chunks.push(ChunkEntry { raw_len, pairs });
     }
     r.finish("volume trailing bytes")?;
-    Ok(VolumeView {
-        nx,
-        ny,
-        nz,
-        voxel_nm,
-        extents,
-        chunks,
+    let stack = LayerStack::from_extents(extents);
+    MaterialVolume::from_raw(nx, ny, nz, voxel_nm, stack, data).ok_or(CodecError::Invalid {
+        what: "volume contents",
     })
-}
-
-impl VolumeView<'_> {
-    /// Voxel grid dimensions `(nx, ny, nz)` from the header.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        (self.nx, self.ny, self.nz)
-    }
-
-    /// Voxel edge length in nanometres.
-    pub fn voxel_nm(&self) -> f64 {
-        self.voxel_nm
-    }
-
-    /// The decoded layer stack.
-    pub fn stack(&self) -> LayerStack {
-        LayerStack::from_extents(self.extents)
-    }
-
-    /// Number of RLE chunks in the blob.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Expanded byte length of chunk `i`.
-    pub fn chunk_len(&self, i: usize) -> usize {
-        self.chunks[i].raw_len
-    }
-
-    /// Expands chunk `i`'s RLE into `out` (cleared first, capacity
-    /// reused). Chunks cover the voxel array in encode order, so chunk `i`
-    /// holds bytes `[i·CHUNK, i·CHUNK + chunk_len(i))` of
-    /// `MaterialVolume::raw_voxels`. Structure was validated at parse
-    /// time; voxel bytes are passed through unchecked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn decode_chunk_into(&self, i: usize, out: &mut Vec<u8>) {
-        let chunk = self.chunks[i];
-        out.clear();
-        out.reserve(chunk.raw_len);
-        for pair in chunk.pairs.chunks_exact(5) {
-            let run = u32::from_le_bytes(pair[..4].try_into().unwrap()) as usize;
-            out.resize(out.len() + run, pair[4]);
-        }
-    }
-
-    /// Materializes the full volume — bit-identical to [`decode_volume`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Invalid`] when the expanded data does not
-    /// form a valid volume (length mismatch or bytes outside the material
-    /// alphabet).
-    pub fn to_volume(&self) -> Result<MaterialVolume, CodecError> {
-        let mut data = Vec::with_capacity(
-            (self.nx * self.ny * self.nz).min(self.chunks.len().saturating_mul(CHUNK)),
-        );
-        for chunk in &self.chunks {
-            for pair in chunk.pairs.chunks_exact(5) {
-                let run = u32::from_le_bytes(pair[..4].try_into().unwrap()) as usize;
-                data.resize(data.len() + run, pair[4]);
-            }
-        }
-        MaterialVolume::from_raw(self.nx, self.ny, self.nz, self.voxel_nm, self.stack(), data)
-            .ok_or(CodecError::Invalid {
-                what: "volume contents",
-            })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -483,126 +370,32 @@ fn write_stack(w: &mut Writer, stack: &ImageStack) {
     }
 }
 
-/// One slice of a stack blob: its dimensions and the borrowed raw `f32`
-/// little-endian pixel bytes.
-#[derive(Debug, Clone, Copy)]
-struct SliceEntry<'a> {
-    ny: usize,
-    nz: usize,
-    bytes: &'a [u8],
-}
-
-/// A zero-copy view over the stack portion of an acquisition or processed
-/// blob: the header is decoded eagerly, per-slice pixel payloads stay
-/// **borrowed** from the blob until a slice is explicitly decoded. Lets a
-/// streaming consumer walk a cached stack one slice at a time with
-/// O(slice) working memory instead of the O(stack) allocation of
-/// [`decode_acquisition`] / [`decode_processed`].
-#[derive(Debug, Clone)]
-pub struct StackView<'a> {
-    pixel_nm: f64,
-    slice_voxels: usize,
-    detector: DetectorKind,
-    margin: usize,
-    slices: Vec<SliceEntry<'a>>,
-}
-
-impl<'a> StackView<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, CodecError> {
-        let pixel_nm = r.f64("stack pixel size")?;
-        let slice_voxels = r.usize("stack slice thickness")?;
-        let detector = detector_from(r.u8("stack detector")?)?;
-        let margin = r.usize("stack frame margin")?;
-        let n = r.count(8, "stack slice count")?;
-        let mut slices = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ny = r.u32("slice width")? as usize;
-            let nz = r.u32("slice height")? as usize;
-            let n_px = ny.checked_mul(nz).ok_or(CodecError::Invalid {
+/// Reads the stack that [`write_stack`] wrote; shared by the acquisition
+/// and processed decoders.
+fn read_stack(r: &mut Reader<'_>) -> Result<ImageStack, CodecError> {
+    let pixel_nm = r.f64("stack pixel size")?;
+    let slice_voxels = r.usize("stack slice thickness")?;
+    let detector = detector_from(r.u8("stack detector")?)?;
+    let margin = r.usize("stack frame margin")?;
+    let n = r.count(8, "stack slice count")?;
+    let mut slices = Vec::with_capacity(n);
+    for _ in 0..n {
+        let ny = r.u32("slice width")? as usize;
+        let nz = r.u32("slice height")? as usize;
+        let n_bytes = ny
+            .checked_mul(nz)
+            .and_then(|n_px| n_px.checked_mul(4))
+            .ok_or(CodecError::Invalid {
                 what: "slice dimensions",
             })?;
-            let bytes = r.take(n_px * 4, "slice pixels")?;
-            slices.push(SliceEntry { ny, nz, bytes });
-        }
-        Ok(StackView {
-            pixel_nm,
-            slice_voxels,
-            detector,
-            margin,
-            slices,
-        })
-    }
-
-    /// Number of slices in the stack.
-    pub fn len(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Whether the stack holds no slices.
-    pub fn is_empty(&self) -> bool {
-        self.slices.is_empty()
-    }
-
-    /// Pixel pitch in nanometres.
-    pub fn pixel_nm(&self) -> f64 {
-        self.pixel_nm
-    }
-
-    /// Voxel columns each slice represents along the milling axis.
-    pub fn slice_voxels(&self) -> usize {
-        self.slice_voxels
-    }
-
-    /// The detector the stack was imaged with.
-    pub fn detector(&self) -> DetectorKind {
-        self.detector
-    }
-
-    /// Frame margin in pixels.
-    pub fn frame_margin_px(&self) -> usize {
-        self.margin
-    }
-
-    /// Dimensions `(ny, nz)` of slice `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn slice_dims(&self, i: usize) -> (usize, usize) {
-        (self.slices[i].ny, self.slices[i].nz)
-    }
-
-    /// The raw little-endian `f32` pixel bytes of slice `i`, borrowed
-    /// straight from the blob (no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn slice_bytes(&self, i: usize) -> &'a [u8] {
-        self.slices[i].bytes
-    }
-
-    /// Decodes slice `i` into an owned image — bit-identical to the same
-    /// slice of the eager decode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn decode_slice(&self, i: usize) -> SemImage {
-        let entry = self.slices[i];
-        let mut img = SemImage::filled(entry.ny, entry.nz, 0.0);
-        for (dst, src) in img.pixels_mut().iter_mut().zip(entry.bytes.chunks_exact(4)) {
+        let bytes = r.take(n_bytes, "slice pixels")?;
+        let mut img = SemImage::filled(ny, nz, 0.0);
+        for (dst, src) in img.pixels_mut().iter_mut().zip(bytes.chunks_exact(4)) {
             *dst = f32::from_bits(u32::from_le_bytes(src.try_into().unwrap()));
         }
-        img
+        slices.push(img);
     }
-
-    /// Materializes the full stack — bit-identical to the eager decode.
-    pub fn to_stack(&self) -> ImageStack {
-        let slices = (0..self.len()).map(|i| self.decode_slice(i)).collect();
-        ImageStack::from_slices(slices, self.pixel_nm, self.slice_voxels, self.detector)
-            .with_frame_margin(self.margin)
-    }
+    Ok(ImageStack::from_slices(slices, pixel_nm, slice_voxels, detector).with_frame_margin(margin))
 }
 
 fn write_shift_list(w: &mut Writer, shifts: &[(i32, i32)]) {
@@ -648,32 +441,8 @@ pub fn encode_acquisition(stack: &ImageStack, truth: &DriftTruth, degraded: &[us
 ///
 /// Returns [`CodecError`] on structural damage (see [`decode_volume`]).
 pub fn decode_acquisition(buf: &[u8]) -> Result<(ImageStack, DriftTruth, Vec<usize>), CodecError> {
-    let view = view_acquisition(buf)?;
-    Ok((view.stack.to_stack(), view.truth, view.degraded))
-}
-
-/// Zero-copy view of an acquisition blob: slice pixels stay borrowed in
-/// [`Self::stack`]; the small metadata (drift truth, degraded indices) is
-/// decoded eagerly.
-#[derive(Debug, Clone)]
-pub struct AcquisitionView<'a> {
-    /// The raw stack, slices borrowed from the blob.
-    pub stack: StackView<'a>,
-    /// Ground-truth drift/brightness artefacts.
-    pub truth: DriftTruth,
-    /// Indices of slices interpolated after exhausting retries.
-    pub degraded: Vec<usize>,
-}
-
-/// Parses an [`encode_acquisition`] blob without copying slice pixels.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on the same structural damage
-/// [`decode_acquisition`] rejects.
-pub fn view_acquisition(buf: &[u8]) -> Result<AcquisitionView<'_>, CodecError> {
     let mut r = Reader::new(buf, "acquisition", STACK_MAGIC)?;
-    let stack = StackView::parse(&mut r)?;
+    let stack = read_stack(&mut r)?;
     let shifts = read_shift_list(&mut r, "drift shifts")?;
     let n = r.count(8, "brightness count")?;
     let mut brightness = Vec::with_capacity(n);
@@ -692,11 +461,7 @@ pub fn view_acquisition(buf: &[u8]) -> Result<AcquisitionView<'_>, CodecError> {
         degraded.push(idx);
     }
     r.finish("acquisition trailing bytes")?;
-    Ok(AcquisitionView {
-        stack,
-        truth: DriftTruth { shifts, brightness },
-        degraded,
-    })
+    Ok((stack, DriftTruth { shifts, brightness }, degraded))
 }
 
 const PROCESSED_MAGIC: &[u8; 4] = b"HPRC";
@@ -716,21 +481,8 @@ pub fn encode_processed(stack: &ImageStack, corrections: &[(i32, i32)]) -> Vec<u
 ///
 /// Returns [`CodecError`] on structural damage (see [`decode_volume`]).
 pub fn decode_processed(buf: &[u8]) -> Result<(ImageStack, Vec<(i32, i32)>), CodecError> {
-    let (view, corrections) = view_processed(buf)?;
-    Ok((view.to_stack(), corrections))
-}
-
-/// Parses an [`encode_processed`] blob without copying slice pixels:
-/// returns the borrowed stack view and the (small, eagerly decoded)
-/// per-slice alignment corrections.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on the same structural damage
-/// [`decode_processed`] rejects.
-pub fn view_processed(buf: &[u8]) -> Result<(StackView<'_>, Vec<(i32, i32)>), CodecError> {
     let mut r = Reader::new(buf, "processed stack", PROCESSED_MAGIC)?;
-    let stack = StackView::parse(&mut r)?;
+    let stack = read_stack(&mut r)?;
     let corrections = read_shift_list(&mut r, "alignment corrections")?;
     r.finish("processed stack trailing bytes")?;
     Ok((stack, corrections))
@@ -1151,87 +903,33 @@ mod tests {
         ));
     }
 
+    /// A slice declaring 2^31 × 2^31 pixels (and carrying no pixel bytes)
+    /// overflows the slice's byte length. Both stack decoders must reject it
+    /// as damage, not panic on the multiply (debug) or wrap it to an empty
+    /// read and then fail to allocate the slice (release).
     #[test]
-    fn volume_view_streams_chunks_without_eager_decode() {
-        let v = small_volume();
-        let blob = encode_volume(&v);
-        let view = view_volume(&blob).expect("parses");
-        assert_eq!(view.dims(), v.dims());
-        assert_eq!(view.voxel_nm().to_bits(), v.voxel_nm().to_bits());
-        assert_eq!(view.stack(), *v.stack());
-        // Chunk-by-chunk expansion into a reused buffer reproduces the
-        // raw voxel array exactly, CHUNK bytes at a time.
-        let mut scratch = Vec::new();
-        let mut offset = 0usize;
-        for i in 0..view.chunk_count() {
-            view.decode_chunk_into(i, &mut scratch);
-            assert_eq!(scratch.len(), view.chunk_len(i));
-            assert_eq!(
-                &v.raw_voxels()[offset..offset + scratch.len()],
-                &scratch[..]
-            );
-            offset += scratch.len();
-        }
-        assert_eq!(offset, v.len());
-        // The materialized path is the eager decoder.
-        assert_eq!(view.to_volume().expect("materializes"), v);
-    }
-
-    #[test]
-    fn stack_view_borrows_slices_from_the_blob() {
-        let v = small_volume();
-        let (stack, truth) = hifi_imaging::acquire(&v, &Default::default());
-        let blob = encode_acquisition(&stack, &truth, &[2]);
-        let view = view_acquisition(&blob).expect("parses");
-        assert_eq!(view.stack.len(), stack.len());
-        assert_eq!(view.stack.slice_voxels(), stack.slice_voxels());
-        assert_eq!(view.stack.detector(), stack.detector());
-        assert_eq!(view.stack.frame_margin_px(), stack.frame_margin_px());
-        assert_eq!(view.truth, truth);
-        assert_eq!(view.degraded, vec![2]);
-        let blob_range = blob.as_ptr_range();
-        for i in 0..view.stack.len() {
-            // Payload bytes are borrowed straight out of the blob…
-            let bytes = view.stack.slice_bytes(i);
-            assert!(
-                blob_range.contains(&bytes.as_ptr()),
-                "slice {i} not zero-copy"
-            );
-            assert_eq!(bytes.len(), stack.slice(i).pixels().len() * 4);
-            // …and per-slice decode is bit-identical to the eager path.
-            assert_eq!(view.stack.decode_slice(i), *stack.slice(i));
-        }
-        assert_eq!(view.stack.to_stack(), stack);
-
-        let processed_blob = encode_processed(&stack, &[(1, -1); 3]);
-        let (pview, corrections) = view_processed(&processed_blob).expect("parses");
-        assert_eq!(pview.to_stack(), stack);
-        assert_eq!(corrections, vec![(1, -1); 3]);
-    }
-
-    #[test]
-    fn views_reject_corrupt_blobs_like_the_eager_decoders() {
-        let mut v = MaterialVolume::new(6, 5, 4, 5.0, hifi_geometry::LayerStack::default_dram());
-        v.fill_box(1, 4, 0, 3, 1, 3, hifi_synth::Material::Metal1, true);
-        v.fill_box(0, 6, 2, 5, 0, 2, hifi_synth::Material::ActiveSi, true);
-        let blob = encode_volume(&v);
-        assert!(matches!(
-            view_acquisition(&blob),
-            Err(CodecError::BadMagic { .. })
-        ));
-        assert!(matches!(
-            view_volume(&blob[..10]),
-            Err(CodecError::Truncated { .. })
-        ));
-        for i in 0..blob.len() {
-            let mut bad = blob.clone();
-            bad[i] ^= 0x41;
-            // Parse + materialize must agree with the eager decoder's
-            // verdict on every single-byte flip.
-            let eager = decode_volume(&bad);
-            let viewed = view_volume(&bad).and_then(|v| v.to_volume());
-            assert_eq!(eager.is_ok(), viewed.is_ok(), "flip at byte {i}");
-        }
+    fn huge_slice_dims_are_a_typed_error() {
+        // Well formed but for its one slice, ending in `lists` empty lists
+        // (drift shifts, brightness, degraded slices; or corrections).
+        let blob = |magic, lists| {
+            let mut w = Writer::magic(magic);
+            w.f64(5.0);
+            w.u64(1);
+            w.u8(detector_byte(DetectorKind::Bse));
+            w.u64(0);
+            w.u32(1);
+            w.u32(1 << 31);
+            w.u32(1 << 31);
+            for _ in 0..lists {
+                w.u32(0);
+            }
+            w.into_bytes()
+        };
+        let want = Some(CodecError::Invalid {
+            what: "slice dimensions",
+        });
+        assert_eq!(decode_acquisition(&blob(STACK_MAGIC, 3)).err(), want);
+        assert_eq!(decode_processed(&blob(PROCESSED_MAGIC, 1)).err(), want);
     }
 
     /// Flip every byte of a small volume blob one at a time: decode must

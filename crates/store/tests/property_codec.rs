@@ -3,13 +3,16 @@
 //! device-free netlists), and arbitrarily damaged blobs must decode to an
 //! error — never a panic — so the store can fall back to recompute.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 
+use hifi_circuit::topology::SaTopologyKind;
 use hifi_circuit::{NetId, Netlist, Polarity, TransistorClass, TransistorDims};
 use hifi_geometry::LayerStack;
 use hifi_imaging::{DetectorKind, DriftTruth, ImageStack, SemImage};
 use hifi_store::codec;
-use hifi_synth::MaterialVolume;
+use hifi_synth::{generate_region, Material, MaterialVolume, SaRegionSpec};
 use hifi_units::{Femtofarads, Nanometers};
 
 /// Builds a valid volume from arbitrary bytes by cycling them through the
@@ -131,4 +134,100 @@ proptest! {
         blob[idx] ^= flip;
         let _ = codec::decode_volume(&blob);
     }
+}
+
+/// Decodes every damaged variant of `blob`: truncated at each length, and
+/// each 4- and 8-byte window overwritten with an inflated length or count
+/// (all ones, the sign bit, the largest positive `i32`; all ones and two
+/// sign-bit words). Returns the variants whose decode panicked.
+fn damage_sweep(blob: &[u8], decode: fn(&[u8])) -> (usize, Vec<String>) {
+    let mut cases = 0;
+    let mut panicked = Vec::new();
+    let mut check = |what: String, bytes: &[u8]| {
+        cases += 1;
+        if catch_unwind(AssertUnwindSafe(|| decode(bytes))).is_err() {
+            panicked.push(what);
+        }
+    };
+    for len in 0..blob.len() {
+        check(format!("truncated to {len} bytes"), &blob[..len]);
+    }
+    let sign_words = [0, 0, 0, 0x80, 0, 0, 0, 0x80];
+    let patches: [(&str, &[u8]); 5] = [
+        ("0xFFFF_FFFF", &0xFFFF_FFFFu32.to_le_bytes()),
+        ("0x8000_0000", &0x8000_0000u32.to_le_bytes()),
+        ("0x7FFF_FFFF", &0x7FFF_FFFFu32.to_le_bytes()),
+        ("0xFF x 8", &[0xFF; 8]),
+        ("two 0x8000_0000", &sign_words),
+    ];
+    for (name, patch) in patches {
+        for at in 0..(blob.len() + 1).saturating_sub(patch.len()) {
+            let mut bad = blob.to_vec();
+            bad[at..at + patch.len()].copy_from_slice(patch);
+            check(format!("{name} at byte {at}"), &bad);
+        }
+    }
+    (cases, panicked)
+}
+
+/// Every codec returns from every truncated or length-inflated blob —
+/// an error or a value, never a panic — so a damaged store entry falls
+/// back to recompute instead of aborting the run.
+#[test]
+fn damaged_blobs_of_every_codec_never_panic() {
+    let mut volume = MaterialVolume::new(6, 5, 4, 5.0, LayerStack::default_dram());
+    volume.fill_box(1, 4, 0, 3, 1, 3, Material::Metal1, true);
+    volume.fill_box(0, 6, 2, 5, 0, 2, Material::ActiveSi, true);
+    let stack = stack_from(3, 5, 4, &[0.5, -1.25, 3.0], 1);
+    let truth = DriftTruth {
+        shifts: vec![(0, 0), (1, -1), (2, 0)],
+        brightness: vec![0.0, 0.5, -0.25],
+    };
+    let region = generate_region(&SaRegionSpec::new(SaTopologyKind::Classic).with_pairs(1));
+    let window = region
+        .window_volume(&region.voxelize(), 0)
+        .expect("the classic window");
+    let extraction = hifi_extract::extract(&window).expect("extracts");
+    let measurement = hifi_extract::measure(&extraction);
+
+    type Decode = fn(&[u8]);
+    let codecs: [(&str, Vec<u8>, Decode); 6] = [
+        ("volume", codec::encode_volume(&volume), |b| {
+            drop(codec::decode_volume(b))
+        }),
+        (
+            "acquisition",
+            codec::encode_acquisition(&stack, &truth, &[1]),
+            |b| drop(codec::decode_acquisition(b)),
+        ),
+        (
+            "processed",
+            codec::encode_processed(&stack, &truth.shifts),
+            |b| drop(codec::decode_processed(b)),
+        ),
+        ("netlist", codec::encode_netlist(&extraction.netlist), |b| {
+            drop(codec::decode_netlist(b))
+        }),
+        (
+            "extraction",
+            codec::encode_extraction(&extraction, &measurement),
+            |b| drop(codec::decode_extraction(b)),
+        ),
+        (
+            "measurement",
+            codec::encode_measurement(&measurement),
+            |b| drop(codec::decode_measurement(b)),
+        ),
+    ];
+    let (mut total, mut failures) = (0, Vec::new());
+    for (name, blob, decode) in &codecs {
+        let (cases, panicked) = damage_sweep(blob, *decode);
+        total += cases;
+        failures.extend(panicked.into_iter().map(|what| format!("{name}: {what}")));
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {total} damaged blobs panicked: {failures:#?}",
+        failures.len()
+    );
 }

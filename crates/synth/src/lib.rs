@@ -40,6 +40,6 @@ mod region;
 mod spec;
 
 pub use cell::{CellGroundTruth, SaCell};
-pub use material::{tile_ranges_x, Material, MaterialVolume};
+pub use material::{Material, MaterialVolume};
 pub use region::{expected_polarity, generate_region, RegionGroundTruth, SaRegion};
 pub use spec::SaRegionSpec;

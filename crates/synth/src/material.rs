@@ -346,102 +346,6 @@ impl MaterialVolume {
         out
     }
 
-    /// Copies the half-open x-slab `[x0, x1)` (full `y`/`z`) of `self` into
-    /// `out`, whose dimensions must match the slab. Row-contiguous copies,
-    /// no per-voxel decode.
-    fn copy_slab_into(&self, x0: usize, x1: usize, out: &mut MaterialVolume) {
-        debug_assert!(x0 < x1 && x1 <= self.nx);
-        debug_assert_eq!(out.dims(), (x1 - x0, self.ny, self.nz));
-        let w = x1 - x0;
-        for row in 0..self.ny * self.nz {
-            let src = row * self.nx + x0;
-            out.data[row * w..(row + 1) * w].copy_from_slice(&self.data[src..src + w]);
-        }
-    }
-
-    /// The half-open x-slab `[x0, x1)` (full `y`/`z`) as an owned volume,
-    /// clamping `x1` to the grid. Equivalent to
-    /// [`MaterialVolume::crop`]`(x0, x1, 0, ny)` but copied row-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the clamped slab is empty.
-    pub fn slab_x(&self, x0: usize, x1: usize) -> MaterialVolume {
-        let x1 = x1.min(self.nx);
-        assert!(x0 < x1, "empty slab");
-        let mut out =
-            MaterialVolume::new(x1 - x0, self.ny, self.nz, self.voxel_nm, self.stack.clone());
-        self.copy_slab_into(x0, x1, &mut out);
-        out
-    }
-
-    /// Writes `slab` (full `y`/`z`, matching dims) back into `self` at
-    /// x-offset `x0` — the inverse of [`MaterialVolume::slab_x`], used to
-    /// assemble a die from independently produced slabs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slab does not fit at `x0` or its `y`/`z` dims differ.
-    pub fn write_slab_x(&mut self, x0: usize, slab: &MaterialVolume) {
-        let (w, sy, sz) = slab.dims();
-        assert!(
-            sy == self.ny && sz == self.nz && x0 + w <= self.nx,
-            "slab ({w}, {sy}, {sz}) at x0={x0} does not fit ({}, {}, {})",
-            self.nx,
-            self.ny,
-            self.nz
-        );
-        for row in 0..self.ny * self.nz {
-            let dst = row * self.nx + x0;
-            self.data[dst..dst + w].copy_from_slice(&slab.data[row * w..(row + 1) * w]);
-        }
-    }
-
-    /// Streams the volume in x-slabs of `tile_x` voxel columns, calling
-    /// `f(slab, x0)` for each. One slab buffer is reused across equal-width
-    /// tiles (only a narrower tail tile reallocates), so the peak working
-    /// set of a streaming consumer is O(tile), not O(die).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_x` is zero.
-    pub fn for_each_slab_x<F: FnMut(&MaterialVolume, usize)>(&self, tile_x: usize, mut f: F) {
-        assert!(tile_x > 0, "tile width must be non-zero");
-        let mut buf: Option<MaterialVolume> = None;
-        let mut x0 = 0;
-        while x0 < self.nx {
-            let x1 = (x0 + tile_x).min(self.nx);
-            let w = x1 - x0;
-            if buf.as_ref().map(|b| b.nx) != Some(w) {
-                buf = Some(MaterialVolume::new(
-                    w,
-                    self.ny,
-                    self.nz,
-                    self.voxel_nm,
-                    self.stack.clone(),
-                ));
-            }
-            let slab = buf.as_mut().expect("slab buffer present");
-            self.copy_slab_into(x0, x1, slab);
-            f(slab, x0);
-            x0 = x1;
-        }
-    }
-
-    /// Iterator over owned x-slabs of `tile_x` voxel columns, yielding
-    /// `(x0, slab)`. Prefer [`MaterialVolume::for_each_slab_x`] when the
-    /// consumer can borrow — it reuses one buffer across tiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_x` is zero.
-    pub fn slabs_x(&self, tile_x: usize) -> impl Iterator<Item = (usize, MaterialVolume)> + '_ {
-        assert!(tile_x > 0, "tile width must be non-zero");
-        tile_ranges_x(self.nx, tile_x)
-            .into_iter()
-            .map(move |(x0, x1)| (x0, self.slab_x(x0, x1)))
-    }
-
     /// The slab `[x0, x1)` of the infinite periodic x-tiling of `self`
     /// (column `x` reads `self` at `x % nx`). A full-die volume is, to
     /// first order, this periodic repetition of one MAT/SA stripe along
@@ -469,24 +373,6 @@ impl MaterialVolume {
         }
         out
     }
-}
-
-/// Half-open x-ranges covering `[0, nx)` in slabs of `tile_x` columns (the
-/// last range may be narrower).
-///
-/// # Panics
-///
-/// Panics if `tile_x` is zero.
-pub fn tile_ranges_x(nx: usize, tile_x: usize) -> Vec<(usize, usize)> {
-    assert!(tile_x > 0, "tile width must be non-zero");
-    let mut out = Vec::with_capacity(nx.div_ceil(tile_x));
-    let mut x0 = 0;
-    while x0 < nx {
-        let x1 = (x0 + tile_x).min(nx);
-        out.push((x0, x1));
-        x0 = x1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -603,41 +489,6 @@ mod tests {
         v.fill_box(3, 9, 0, 4, 2, 5, Material::GatePoly, true);
         v.set(9, 7, 5, Material::Capacitor);
         v
-    }
-
-    #[test]
-    fn tile_ranges_cover_without_overlap() {
-        assert_eq!(tile_ranges_x(10, 4), vec![(0, 4), (4, 8), (8, 10)]);
-        assert_eq!(tile_ranges_x(8, 8), vec![(0, 8)]);
-        assert_eq!(tile_ranges_x(3, 100), vec![(0, 3)]);
-        assert_eq!(tile_ranges_x(6, 1).len(), 6);
-    }
-
-    #[test]
-    fn slab_matches_crop_and_reassembles() {
-        let v = textured();
-        for (x0, x1) in tile_ranges_x(10, 3) {
-            assert_eq!(v.slab_x(x0, x1), v.crop(x0, x1, 0, 8), "slab [{x0}, {x1})");
-        }
-        // Round trip: slabs written back rebuild the die exactly.
-        let mut rebuilt = MaterialVolume::new(10, 8, 6, 5.0, LayerStack::default_dram());
-        for (x0, slab) in v.slabs_x(4) {
-            rebuilt.write_slab_x(x0, &slab);
-        }
-        assert_eq!(rebuilt, v);
-    }
-
-    #[test]
-    fn streaming_slabs_match_owned_slabs_and_reuse_buffers() {
-        let v = textured();
-        let owned: Vec<(usize, MaterialVolume)> = v.slabs_x(4).collect();
-        let mut streamed: Vec<(usize, MaterialVolume)> = Vec::new();
-        v.for_each_slab_x(4, |slab, x0| streamed.push((x0, slab.clone())));
-        assert_eq!(streamed, owned);
-        // The reused buffer must not leak voxels from the previous tile:
-        // tile widths that do not divide nx force a fresh tail buffer, and
-        // equal-width tiles with disjoint content overwrite fully.
-        v.for_each_slab_x(5, |slab, x0| assert_eq!(*slab, v.slab_x(x0, x0 + 5)));
     }
 
     #[test]

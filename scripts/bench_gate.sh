@@ -5,8 +5,8 @@
 #   scripts/bench_gate.sh --check-only # gate an existing BENCH_results.json
 #
 # The overhead benches (fault_overhead, telemetry_overhead) and the
-# full-die scale sweep (scale_sweep, streaming 256x the base region with
-# O(tile) memory) record their headline numbers into BENCH_results.json;
+# full-die scale sweep (scale_sweep, streaming 256x the base region slab
+# by slab with O(slab) memory) record their headline numbers into BENCH_results.json;
 # the bench_gate binary compares them against the committed
 # BENCH_baseline.json and fails on any metric more than 15% over baseline
 # (BENCH_GATE_TOLERANCE_PCT to override; paired-ratio "percent" metrics
@@ -29,7 +29,7 @@ if [[ "${1:-}" != "--check-only" ]]; then
     echo "==> overhead benches (fault_overhead, telemetry_overhead)"
     cargo bench --offline --locked -p hifi-bench \
         --bench fault_overhead --bench telemetry_overhead
-    echo "==> full-die scale sweep (1x/16x/256x, streaming tiled)"
+    echo "==> full-die scale sweep (1x/16x/256x, streamed slab by slab)"
     cargo bench --offline --locked -p hifi-bench \
         --features hifi-telemetry/alloc-track --bench scale_sweep
     echo "==> MNA Monte-Carlo throughput (mna_montecarlo)"

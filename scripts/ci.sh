@@ -8,8 +8,9 @@
 #
 # Jobs:
 #   lint          cargo fmt --check + clippy -D warnings + rustdoc -D warnings
-#   test          tier-1 test suite at 1 thread and at available_parallelism,
-#                 then the perfbench/ package's build and tests
+#   test          every workspace crate's tests at 1 thread, the tier-1
+#                 (root package) suite at available_parallelism, then the
+#                 perfbench/ package's build and tests
 #   regen-drift   regen snapshot drift + artifact-store cold/warm/gc round
 #                 trip (scripts/check.sh --drift-only)
 #   fault-matrix  tests/fault_recovery.rs under fault seeds; honours
@@ -30,8 +31,8 @@
 #                 the default 2-seed matrix
 #   scale-smoke   16x-scale streaming sweep (scale_sweep bench capped via
 #                 SCALE_SWEEP_MAX=16) under the counting allocator; proves
-#                 the tiled path's O(tile) peak memory without the full
-#                 256x run (that stays bench-gate-only)
+#                 the slab-streaming path's O(slab) peak memory without
+#                 the full 256x run (that stays bench-gate-only)
 #   serve-smoke   start the hifi-serve daemon, push two load_test batches
 #                 through it over HTTP (the second resubmits completed
 #                 specs, which must dedup against the shared store), then
@@ -93,8 +94,10 @@ job_test() {
     threads="$(nproc 2>/dev/null || echo 1)"
     echo "==> cargo build --release (tier-1 gate)"
     cargo build --release --offline --locked
-    echo "==> tier-1 tests @ 1 thread"
-    HIFI_THREADS=1 cargo test -q --offline --locked
+    # `--workspace`: a bare `cargo test` at the root runs only the root
+    # package's tests, never the crates' own unit and property suites.
+    echo "==> workspace tests @ 1 thread"
+    HIFI_THREADS=1 cargo test -q --offline --locked --workspace
     if [[ "$threads" -gt 1 ]]; then
         echo "==> tier-1 tests @ ${threads} threads"
         HIFI_THREADS="$threads" cargo test -q --offline --locked
@@ -181,7 +184,7 @@ job_scale_smoke() {
     # shellcheck disable=SC2064 # expand now: the dir name is fixed here
     trap "rm -rf '$tmp'" RETURN
     # Results go to a temp file: the smoke tier proves the streaming path
-    # completes at 16x with O(tile) peak allocation (the bench asserts it
+    # completes at 16x with O(slab) peak allocation (the bench asserts it
     # under alloc-track); only the bench-gate job's full 256x numbers are
     # compared against the committed baseline.
     echo "==> scale_sweep @ ≤16x under the counting allocator"
