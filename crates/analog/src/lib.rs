@@ -33,7 +33,6 @@ pub mod events;
 pub mod mna;
 mod model;
 pub mod montecarlo;
-pub mod reliability;
 mod sim;
 mod stamp;
 

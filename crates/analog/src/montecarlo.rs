@@ -67,7 +67,7 @@ fn mix(mut x: u64) -> u64 {
 
 /// Draws a latch pair-mismatch offset (V): the difference of two `N(0, σ)`
 /// device thresholds, i.e. `N(0, σ·√2)`, by Box–Muller.
-pub(crate) fn pair_offset_v(rng: &mut StdRng, sigma_mv: f64) -> f64 {
+fn pair_offset_v(rng: &mut StdRng, sigma_mv: f64) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     let gaussian = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -85,10 +85,8 @@ pub struct McSample {
     pub offset_mv: f64,
     /// Whether both stored values sensed correctly.
     pub correct: bool,
-    /// Worst per-step Newton iteration count over both activations.
-    pub max_newton_iterations: usize,
-    /// Worst post-convergence KCL residual over both activations (A).
-    pub worst_kcl_residual_amps: f64,
+    /// Solver work summed over both activations (worst-case fields maxed).
+    pub solve: SolveStats,
     /// Latch split time of the stored-1 activation (ps), when it split.
     pub split_ps: Option<f64>,
 }
@@ -111,7 +109,7 @@ pub struct McReport {
     /// Smallest |offset| (mV) among failing samples, if any — the sweep's
     /// empirical tolerance edge.
     pub smallest_failing_offset_mv: Option<f64>,
-    /// Accumulated solver work across all activations.
+    /// Solver work summed over every activation (worst-case fields maxed).
     pub solve: SolveStats,
 }
 
@@ -124,12 +122,26 @@ impl McReport {
         rec.counter(names::MNA_FAILURES, self.failures as u64);
         rec.gauge(names::MNA_YIELD_PCT, self.yield_fraction * 100.0);
         for s in &self.samples {
-            rec.histogram(names::HIST_MNA_NEWTON_ITERS, s.max_newton_iterations as u64);
+            rec.histogram(
+                names::HIST_MNA_NEWTON_ITERS,
+                s.solve.max_newton_iterations as u64,
+            );
             if let Some(ps) = s.split_ps {
                 rec.histogram(names::HIST_MNA_SPLIT_PS, ps.round().max(0.0) as u64);
             }
         }
     }
+}
+
+/// Adds `run`'s step and Newton counts into `total` and maxes the
+/// worst-case fields.
+fn accumulate(total: &mut SolveStats, run: &SolveStats) {
+    total.steps += run.steps;
+    total.newton_iterations += run.newton_iterations;
+    total.max_newton_iterations = total.max_newton_iterations.max(run.max_newton_iterations);
+    total.worst_kcl_residual_amps = total
+        .worst_kcl_residual_amps
+        .max(run.worst_kcl_residual_amps);
 }
 
 fn run_sample(cfg: &McConfig, index: usize) -> McSample {
@@ -140,15 +152,12 @@ fn run_sample(cfg: &McConfig, index: usize) -> McSample {
     activation.nsa_vt_offset = offset_v;
 
     let mut correct = true;
-    let mut max_newton = 0usize;
-    let mut worst_kcl = 0.0f64;
+    let mut solve = SolveStats::default();
     let mut split_ps = None;
     for stored in [false, true] {
         let rep = try_simulate(cfg.topology, &activation, stored).expect("valid MC testbench");
         correct &= rep.correct;
-        let stats = rep.solve_stats.unwrap_or_default();
-        max_newton = max_newton.max(stats.max_newton_iterations);
-        worst_kcl = worst_kcl.max(stats.worst_kcl_residual_amps);
+        accumulate(&mut solve, &rep.solve_stats.unwrap_or_default());
         if stored {
             split_ps = rep.latch_split_time.map(|t| t * 1e12);
         }
@@ -158,8 +167,7 @@ fn run_sample(cfg: &McConfig, index: usize) -> McSample {
         seed,
         offset_mv: offset_v * 1e3,
         correct,
-        max_newton_iterations: max_newton,
-        worst_kcl_residual_amps: worst_kcl,
+        solve,
         split_ps,
     }
 }
@@ -191,10 +199,7 @@ pub fn run_sweep(config: &McConfig) -> McReport {
                 _ => mag,
             });
         }
-        solve.newton_iterations += s.max_newton_iterations;
-        solve.max_newton_iterations = solve.max_newton_iterations.max(s.max_newton_iterations);
-        solve.worst_kcl_residual_amps =
-            solve.worst_kcl_residual_amps.max(s.worst_kcl_residual_amps);
+        accumulate(&mut solve, &s.solve);
     }
     let yield_fraction = (config.samples - failures) as f64 / config.samples as f64;
     McReport {
@@ -258,6 +263,24 @@ mod tests {
         let one = rayon::with_num_threads(1, || run_sweep(&cfg));
         let four = rayon::with_num_threads(4, || run_sweep(&cfg));
         assert_eq!(one, four);
+    }
+
+    #[test]
+    fn report_solve_stats_total_every_activation() {
+        let cfg = small_cfg(SaTopologyKind::Classic, 40.0);
+        let rep = run_sweep(&cfg);
+        // The engine takes fixed steps, so every activation takes as many
+        // as this one.
+        let steps = try_simulate(cfg.topology, &cfg.base, true)
+            .expect("valid testbench")
+            .solve_stats
+            .expect("MNA stats")
+            .steps;
+        assert!(steps > 0);
+        assert_eq!(rep.solve.steps, 2 * cfg.samples * steps);
+        assert!(rep.solve.newton_iterations >= rep.solve.steps);
+        let per_sample: usize = rep.samples.iter().map(|s| s.solve.newton_iterations).sum();
+        assert_eq!(rep.solve.newton_iterations, per_sample);
     }
 
     #[test]

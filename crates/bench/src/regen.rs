@@ -455,20 +455,23 @@ pub fn outofspec() -> String {
 }
 
 /// Monte-Carlo sensing yield vs threshold mismatch (the paper's motivation
-/// for OCSA deployment, Section II-A).
+/// for OCSA deployment, Section II-A). Every cell is one seeded
+/// [`run_sweep`](hifi_analog::run_sweep) with the default sweep seed, so
+/// both topologies and every σ see the same per-sample draws.
 pub fn yield_analysis() -> String {
-    use hifi_analog::reliability::yield_curve;
-    let sigmas = [20.0, 40.0, 60.0, 80.0];
-    let base = ActivationConfig::default();
+    use hifi_analog::{run_sweep, McConfig};
     let trials = 12;
-    let classic = yield_curve(SaTopologyKind::Classic, &sigmas, trials, &base);
-    let ocsa = yield_curve(SaTopologyKind::OffsetCancellation, &sigmas, trials, &base);
+    let yield_pct =
+        |kind, sigma_mv| run_sweep(&McConfig::new(kind, sigma_mv, trials)).yield_fraction * 100.0;
     let mut t = Table::new(vec!["mismatch σ (mV)", "classic yield", "OCSA yield"]);
-    for (c, o) in classic.iter().zip(&ocsa) {
+    for sigma_mv in [20.0, 40.0, 60.0, 80.0] {
         t.row(vec![
-            format!("{:.0}", c.sigma_mv),
-            format!("{:.0}%", c.yield_fraction * 100.0),
-            format!("{:.0}%", o.yield_fraction * 100.0),
+            format!("{sigma_mv:.0}"),
+            format!("{:.0}%", yield_pct(SaTopologyKind::Classic, sigma_mv)),
+            format!(
+                "{:.0}%",
+                yield_pct(SaTopologyKind::OffsetCancellation, sigma_mv)
+            ),
         ]);
     }
     format!(

@@ -27,9 +27,7 @@ pub struct CampaignConfig {
     pub runs: usize,
     /// Oracle tolerance bands.
     pub tolerance: Tolerance,
-    /// Artifact-store root for warm re-runs. Setting this serializes the
-    /// campaign (the store's manifest writes are not safe under in-process
-    /// concurrency) — it trades fan-out for stage caching.
+    /// Artifact-store root for warm re-runs.
     pub store: Option<PathBuf>,
     /// Whether failing specs are shrunk to minimal counterexamples
     /// (re-judges up to a few dozen nearby specs per failure).
@@ -48,22 +46,9 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Derives run `index`'s spec seed from the campaign seed (SplitMix64
-/// finalisation, so neighbouring indices land far apart in seed space).
-pub fn run_seed(campaign_seed: u64, index: u64) -> u64 {
-    mix(campaign_seed.wrapping_add(mix(index
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(1))))
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// Run `index`'s spec seed: the Monte-Carlo sweeps' per-sample seed
+/// derivation, applied to the campaign seed.
+pub use hifi_analog::montecarlo::sample_seed as run_seed;
 
 /// Per-oracle aggregate across a campaign.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -166,12 +151,9 @@ const BUCKETS: [f64; 6] = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0];
 
 /// Runs a conformance campaign.
 ///
-/// Judging fans out across threads via the order-preserving `par_map`
-/// unless an artifact store is configured (store manifest writes are
-/// process-wide, so store-backed campaigns judge sequentially and trade
-/// fan-out for warm-stage replay). Shrinking happens inside each failing
-/// run's worker, so it parallelizes with the remaining runs and stays
-/// deterministic per index.
+/// Judging fans out across threads via the order-preserving `par_map`.
+/// Shrinking happens inside each failing run's worker, so it parallelizes
+/// with the remaining runs and stays deterministic per index.
 pub fn run_campaign(cfg: &CampaignConfig) -> ConformanceReport {
     let indices: Vec<u64> = (0..cfg.runs as u64).collect();
     let judge_one = |&index: &u64| -> (u64, RunJudgement, Option<Shrunk>) {
@@ -188,12 +170,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> ConformanceReport {
         };
         (seed, judgement, shrunk)
     };
-    let judged: Vec<(u64, RunJudgement, Option<Shrunk>)> = if cfg.store.is_some() {
-        indices.iter().map(judge_one).collect()
-    } else {
-        rayon::par_map(&indices, judge_one)
-    };
-    fold_report(cfg, &judged)
+    fold_report(cfg, &rayon::par_map(&indices, judge_one))
 }
 
 /// Folds ordered judgements into the report (sequential, deterministic).

@@ -127,8 +127,8 @@ pub struct PipelineConfig {
     /// An already-open artifact store shared across runs; takes precedence
     /// over [`Self::store`] and the environment. Long-running callers (the
     /// job server's worker pipelines) open the store once and hand every
-    /// run the same handle, skipping the per-run `open` (directory
-    /// creation, legacy-layout probe) entirely.
+    /// run the same handle, skipping the per-run `open` (shard directory
+    /// creation) entirely.
     pub store_handle: Option<Arc<ArtifactStore>>,
     /// Fault-injection plan for this run; `None` runs the clean pipeline.
     /// With a plan whose every fault is recoverable under [`Self::retry`]

@@ -6,7 +6,6 @@
 //! <root>/objects/<s>/<32-hex-key>   one artifact per file, self-checking header
 //! <root>/objects/<s>/manifest       per-shard text index: key, size, checksum, LRU tick
 //! <root>/objects/<s>/.lock          advisory lock guarding that shard's manifest
-//! <root>/.lock                      root lock, held only for legacy-layout migration
 //! ```
 //!
 //! `<s>` is the first hex character of the key, so keys spread uniformly
@@ -25,10 +24,6 @@
 //! content) and readers never observe a half-written object. Corrupted
 //! blobs are detected by checksum, evicted, and reported as a miss — the
 //! pipeline recomputes instead of failing.
-//!
-//! Stores written by older versions (flat `objects/<key>` plus a root
-//! `manifest`) are migrated in place on [`ArtifactStore::open`], under the
-//! root lock so exactly one opener performs the move.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -266,20 +261,20 @@ fn next_tick() -> u64 {
 }
 
 impl ArtifactStore {
-    /// Opens (creating if needed) a store rooted at `root`. A legacy flat
-    /// layout (objects directly under `objects/`, one root manifest) is
-    /// migrated into the sharded layout under the root lock.
+    /// Opens (creating if needed) a store rooted at `root`.
+    ///
+    /// Only the sharded layout is read. A store written before sharding
+    /// (blobs directly under `objects/`, one root `manifest`) opens as an
+    /// empty cache: its flat blobs are never read, and `usage`, `verify`
+    /// and `gc` do not see them. Delete the directory to reclaim their
+    /// space.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if the directory tree cannot be created or a
-    /// legacy store cannot be migrated.
+    /// Returns [`StoreError`] if the shard directories cannot be created.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        let root = root.into();
-        let objects = root.join("objects");
-        fs::create_dir_all(&objects).map_err(|e| StoreError::io("open", &objects, &e))?;
         let store = Self {
-            root,
+            root: root.into(),
             fault_plan: None,
             lock_policy: default_lock_policy(),
         };
@@ -287,7 +282,6 @@ impl ArtifactStore {
             let dir = store.shard_dir(shard);
             fs::create_dir_all(&dir).map_err(|e| StoreError::io("open", &dir, &e))?;
         }
-        store.migrate_legacy_layout()?;
         Ok(store)
     }
 
@@ -340,38 +334,35 @@ impl ArtifactStore {
         self.shard_dir(shard).join(".lock")
     }
 
-    /// Acquires the advisory lock at `path` with bounded exponential
-    /// backoff. Locks older than [`LOCK_STALE`] are presumed orphaned by a
-    /// crashed holder and broken.
-    fn acquire_lock(&self, path: &Path) -> Result<LockGuard, StoreError> {
+    /// Acquires `shard`'s advisory lock with bounded exponential backoff.
+    /// Locks older than [`LOCK_STALE`] are presumed orphaned by a crashed
+    /// holder and broken.
+    fn lock_shard(&self, shard: usize) -> Result<LockGuard, StoreError> {
+        let path = self.shard_lock_path(shard);
         let mut waited = Duration::ZERO;
         let mut attempt: u32 = 0;
         loop {
             match fs::OpenOptions::new()
                 .write(true)
                 .create_new(true)
-                .open(path)
+                .open(&path)
             {
-                Ok(_) => {
-                    return Ok(LockGuard {
-                        path: path.to_path_buf(),
-                    })
-                }
+                Ok(_) => return Ok(LockGuard { path }),
                 Err(e) if e.kind() == ErrorKind::AlreadyExists => {
                     // Break locks orphaned by a crashed holder.
-                    if let Ok(meta) = fs::metadata(path) {
+                    if let Ok(meta) = fs::metadata(&path) {
                         let age = meta
                             .modified()
                             .ok()
                             .and_then(|m| SystemTime::now().duration_since(m).ok());
                         if age.is_some_and(|a| a > LOCK_STALE) {
-                            let _ = fs::remove_file(path);
+                            let _ = fs::remove_file(&path);
                             continue;
                         }
                     }
                     if attempt >= self.lock_policy.max_retries {
                         return Err(StoreError::Contended {
-                            path: path.to_path_buf(),
+                            path,
                             attempts: attempt + 1,
                             waited,
                         });
@@ -381,66 +372,9 @@ impl ArtifactStore {
                     waited += delay;
                     attempt += 1;
                 }
-                Err(e) => return Err(StoreError::io("lock", path, &e)),
+                Err(e) => return Err(StoreError::io("lock", &path, &e)),
             }
         }
-    }
-
-    fn lock_shard(&self, shard: usize) -> Result<LockGuard, StoreError> {
-        self.acquire_lock(&self.shard_lock_path(shard))
-    }
-
-    /// Moves a pre-sharding store (flat `objects/<key>`, one root
-    /// `manifest`) into the sharded layout. Runs under the root lock so
-    /// concurrent openers serialize; a second opener finds nothing left to
-    /// move and returns immediately.
-    fn migrate_legacy_layout(&self) -> Result<(), StoreError> {
-        let objects = self.root.join("objects");
-        let legacy_manifest = self.root.join("manifest");
-        let has_flat_objects = fs::read_dir(&objects)
-            .ok()
-            .into_iter()
-            .flatten()
-            .flatten()
-            .any(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| Key::from_hex(n).is_some())
-            });
-        if !legacy_manifest.exists() && !has_flat_objects {
-            return Ok(());
-        }
-        let _guard = self.acquire_lock(&self.root.join(".lock"))?;
-        // Move each flat object into its shard.
-        let entries = fs::read_dir(&objects).map_err(|e| StoreError::io("open", &objects, &e))?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(key) = Key::from_hex(name) else {
-                continue; // shard dirs, temp files, strays
-            };
-            let dest = self.object_path(key);
-            fs::rename(entry.path(), &dest).map_err(|e| StoreError::io("open", &dest, &e))?;
-        }
-        // Split the root manifest into per-shard manifests, preserving the
-        // relative LRU order (legacy ticks are small counters, far below
-        // the wall-clock-seeded ticks new writes draw).
-        if legacy_manifest.exists() {
-            let mut shards: Vec<BTreeMap<Key, Entry>> =
-                (0..SHARD_COUNT).map(|_| BTreeMap::new()).collect();
-            for (key, entry) in read_manifest_file(&legacy_manifest) {
-                shards[Self::shard_of(key)].insert(key, entry);
-            }
-            for (shard, manifest) in shards.iter().enumerate() {
-                if manifest.is_empty() {
-                    continue;
-                }
-                self.write_shard_manifest(shard, manifest)?;
-            }
-            fs::remove_file(&legacy_manifest)
-                .map_err(|e| StoreError::io("open", &legacy_manifest, &e))?;
-        }
-        Ok(())
     }
 
     fn read_shard_manifest(&self, shard: usize) -> BTreeMap<Key, Entry> {
@@ -829,52 +763,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_layout_is_migrated_on_open() {
+    fn pre_sharding_layout_opens_as_an_empty_cache() {
         let dir = std::env::temp_dir().join(format!(
-            "hifi-store-test-{}-legacy-migrate",
+            "hifi-store-test-{}-pre-sharding",
             std::process::id()
         ));
         let _ = fs::remove_dir_all(&dir);
-        // Build the store through the current API, then flatten it back
-        // into the legacy layout: objects directly under objects/, one
-        // root manifest.
+        // Write one valid blob through the current API, then move it and
+        // its manifest line where the pre-sharding layout kept them: the
+        // blob directly under objects/, the index in a root manifest.
+        let key = key_of("pre-sharding");
         let store = ArtifactStore::open(&dir).expect("open");
-        let keys: Vec<Key> = (0..16).map(|i| key_of(&format!("legacy-{i}"))).collect();
-        for (i, key) in keys.iter().enumerate() {
-            store.put(*key, &[i as u8; 24]).expect("put");
-        }
-        let mut legacy_manifest = String::new();
-        for shard in 0..SHARD_COUNT {
-            let manifest = store.shard_manifest_path(shard);
-            if let Ok(text) = fs::read_to_string(&manifest) {
-                legacy_manifest.push_str(&text);
-                fs::remove_file(&manifest).expect("drop shard manifest");
-            }
-            for entry in fs::read_dir(store.shard_dir(shard))
-                .expect("list")
-                .flatten()
-            {
-                let name = entry.file_name();
-                if name.to_str().and_then(Key::from_hex).is_some() {
-                    fs::rename(entry.path(), dir.join("objects").join(name)).expect("flatten");
-                }
-            }
-        }
-        fs::write(dir.join("manifest"), legacy_manifest).expect("root manifest");
+        store.put(key, b"old layout").expect("put");
+        let shard = ArtifactStore::shard_of(key);
+        fs::rename(store.shard_manifest_path(shard), dir.join("manifest")).expect("root manifest");
+        fs::rename(store.object_path(key), dir.join("objects").join(key.hex())).expect("flat blob");
 
-        // Re-opening migrates: flat objects move into shards, the root
-        // manifest splits, and every object reads back.
-        let migrated = ArtifactStore::open(&dir).expect("open migrates");
-        assert!(!dir.join("manifest").exists(), "root manifest consumed");
-        assert_eq!(migrated.usage().0, keys.len());
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(
-                migrated.get(*key).expect("get").as_deref(),
-                Some(&[i as u8; 24][..]),
-                "key {i} must survive migration"
-            );
-            assert!(migrated.object_path(*key).is_file());
-        }
+        // The old layout is a cold cache: nothing in it is read or counted.
+        let reopened = ArtifactStore::open(&dir).expect("open");
+        assert_eq!(reopened.get(key).expect("get"), None);
+        assert_eq!(reopened.usage(), (0, 0));
+        assert_eq!(reopened.verify().expect("verify"), (0, 0));
+        assert_eq!(reopened.gc(0).expect("gc"), 0);
+        reopened.put(key, b"new layout").expect("put");
+        assert_eq!(
+            reopened.get(key).expect("get").as_deref(),
+            Some(&b"new layout"[..])
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

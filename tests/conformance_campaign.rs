@@ -29,8 +29,9 @@ fn drop_first_mosfet(nl: &Netlist) -> Netlist {
 }
 
 /// The campaign report — JSON and all — must not depend on how many
-/// worker threads judged the runs. This is the property that lets CI
-/// compare campaign artifacts across heterogeneous runners.
+/// worker threads judged the runs, nor on whether an artifact store
+/// replayed their stages. This is the property that lets CI compare
+/// campaign artifacts across heterogeneous runners.
 #[test]
 fn campaign_reports_are_bit_identical_across_thread_counts() {
     let cfg = CampaignConfig {
@@ -43,6 +44,19 @@ fn campaign_reports_are_bit_identical_across_thread_counts() {
     let multi = rayon::with_num_threads(2, || run_campaign(&cfg));
     assert_eq!(single, multi);
     assert_eq!(single.to_json(), multi.to_json());
+
+    // Store-backed: a cold campaign at 2 threads, then a warm one at 1.
+    let root = std::env::temp_dir().join(format!("hifi-campaign-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let stored = CampaignConfig {
+        store: Some(root.clone()),
+        ..cfg.clone()
+    };
+    let cold = rayon::with_num_threads(2, || run_campaign(&stored));
+    let warm = rayon::with_num_threads(1, || run_campaign(&stored));
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(cold.to_json(), single.to_json(), "cold store run");
+    assert_eq!(warm.to_json(), single.to_json(), "warm store run");
     assert_eq!(single.runs, 2);
     assert_eq!(
         single.failed, 0,
