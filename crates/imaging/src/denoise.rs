@@ -140,33 +140,115 @@ pub fn chambolle_tv_with(
     out
 }
 
+/// `f32::total_cmp`'s sort key of the bit pattern `bits`: every bit but
+/// the sign flipped on negative values, compared as `i32`. The map is its
+/// own inverse, so it also turns a key back into the pixel's bits.
+#[inline(always)]
+fn total_key(bits: i32) -> i32 {
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// Median of nine keys: Paeth's 19-exchange network (as given by
+/// Devillard). Each exchange `x` yields `(min, max)`; the network is
+/// written out in single assignments, with the halves no later exchange
+/// reads discarded, so every key stays in a register.
+#[inline(always)]
+fn median9([p0, p1, p2, p3, p4, p5, p6, p7, p8]: [i32; 9]) -> i32 {
+    #[inline(always)]
+    fn x(a: i32, b: i32) -> (i32, i32) {
+        (a.min(b), a.max(b))
+    }
+    // Sort the triples (0 1 2), (3 4 5) and (6 7 8).
+    let (p1, p2) = x(p1, p2);
+    let (p4, p5) = x(p4, p5);
+    let (p7, p8) = x(p7, p8);
+    let (p0, p1) = x(p0, p1);
+    let (p3, p4) = x(p3, p4);
+    let (p6, p7) = x(p6, p7);
+    let (p1, p2) = x(p1, p2);
+    let (p4, p5) = x(p4, p5);
+    let (p7, p8) = x(p7, p8);
+    // Largest minimum into 6, smallest maximum into 2, median of the
+    // middles into 4.
+    let (_, p3) = x(p0, p3);
+    let (p5, _) = x(p5, p8);
+    let (p4, p7) = x(p4, p7);
+    let (_, p6) = x(p3, p6);
+    let (_, p4) = x(p1, p4);
+    let (p2, _) = x(p2, p5);
+    let (p4, _) = x(p4, p7);
+    // Median of 2, 4 and 6 into 4.
+    let (p4, p2) = x(p4, p2);
+    let (_, p4) = x(p6, p4);
+    let (p4, _) = x(p4, p2);
+    p4
+}
+
+/// Median of the clamped neighbourhood of the border pixel `(y, z)`.
+fn border_median(image: &SemImage, y: usize, z: usize) -> f32 {
+    let (ny, nz) = image.dims();
+    let mut window = [0.0f32; 9];
+    let mut n = 0;
+    for pz in z.saturating_sub(1)..(z + 2).min(nz) {
+        for py in y.saturating_sub(1)..(y + 2).min(ny) {
+            window[n] = image.get(py, pz);
+            n += 1;
+        }
+    }
+    window[..n].sort_by(f32::total_cmp);
+    window[n / 2]
+}
+
 /// 3×3 median filter — the edge-preserving prefilter of the pipeline.
 ///
 /// Unlike total variation, the median does not shrink the amplitude of
 /// small bright features (the SA region's wires are only 2–4 pixels wide in
 /// cross-section), while suppressing shot noise by ≈3×. Borders use the
 /// clamped neighbourhood.
+///
+/// An order statistic, not the true median: the filter only emits values
+/// present in the neighbourhood, ranked by `f32::total_cmp`, so a stray NaN
+/// pixel (ranked last) cannot abort the run. Interior pixels run the
+/// median-of-9 network on the `i32` keys `total_cmp` compares, which picks
+/// the same bit pattern a sort would; the border pixels sort their smaller
+/// neighbourhoods.
 pub fn median3x3(image: &SemImage) -> SemImage {
     let (ny, nz) = image.dims();
     let mut out = image.clone();
-    let mut window = [0.0f32; 9];
+    let keys: Vec<i32> = image
+        .pixels()
+        .iter()
+        .map(|v| total_key(v.to_bits() as i32))
+        .collect();
+    let pixels = out.pixels_mut();
+    for z in 1..nz.saturating_sub(1) {
+        let (above, row, below) = (
+            &keys[(z - 1) * ny..z * ny],
+            &keys[z * ny..(z + 1) * ny],
+            &keys[(z + 1) * ny..(z + 2) * ny],
+        );
+        for y in 1..ny.saturating_sub(1) {
+            let m = median9([
+                above[y - 1],
+                above[y],
+                above[y + 1],
+                row[y - 1],
+                row[y],
+                row[y + 1],
+                below[y - 1],
+                below[y],
+                below[y + 1],
+            ]);
+            pixels[z * ny + y] = f32::from_bits(total_key(m) as u32);
+        }
+    }
     for z in 0..nz {
+        let interior_row = z > 0 && z + 1 < nz;
         for y in 0..ny {
-            let mut n = 0;
-            for dz in -1i32..=1 {
-                for dy in -1i32..=1 {
-                    let (py, pz) = (y as i32 + dy, z as i32 + dz);
-                    if py >= 0 && py < ny as i32 && pz >= 0 && pz < nz as i32 {
-                        window[n] = image.get(py as usize, pz as usize);
-                        n += 1;
-                    }
-                }
+            if interior_row && y > 0 && y + 1 < ny {
+                continue;
             }
-            // An order statistic, not the true median: the filter must
-            // only emit values present in the neighbourhood. `total_cmp`
-            // keeps a stray NaN pixel (sorted last) from aborting the run.
-            window[..n].sort_by(f32::total_cmp);
-            out.set(y, z, window[n / 2]);
+            out.set(y, z, border_median(image, y, z));
         }
     }
     out
@@ -357,6 +439,89 @@ mod tests {
             for (i, (got, want)) in stack.slices().iter().zip(&reference).enumerate() {
                 assert_bits_equal(got, want, &format!("slice {i} @ {threads} threads"));
             }
+        }
+    }
+
+    /// The original sort-based filter, kept verbatim as the reference for
+    /// the key-network interior: every pixel sorts its clamped
+    /// neighbourhood with `total_cmp` and takes element `n / 2`.
+    fn median3x3_reference(image: &SemImage) -> SemImage {
+        let (ny, nz) = image.dims();
+        let mut out = image.clone();
+        let mut window = [0.0f32; 9];
+        for z in 0..nz {
+            for y in 0..ny {
+                let mut n = 0;
+                for dz in -1i32..=1 {
+                    for dy in -1i32..=1 {
+                        let (py, pz) = (y as i32 + dy, z as i32 + dz);
+                        if py >= 0 && py < ny as i32 && pz >= 0 && pz < nz as i32 {
+                            window[n] = image.get(py as usize, pz as usize);
+                            n += 1;
+                        }
+                    }
+                }
+                window[..n].sort_by(f32::total_cmp);
+                out.set(y, z, window[n / 2]);
+            }
+        }
+        out
+    }
+
+    /// The median-of-9 network on `total_cmp` keys (and the sorted
+    /// borders) pick the same bit pattern as the sort-based filter. The
+    /// shapes hit every neighbourhood size (1, 2, 3, 4, 6, 9); the pixels
+    /// mix ±NaN, ±0.0, ±∞, integer ties and fractional noise; and every
+    /// 0/1 pattern of a 3×3 image checks the network's one interior pixel
+    /// exhaustively (a comparator network that selects correctly on all
+    /// 0/1 inputs does so on every input).
+    #[test]
+    fn median3x3_matches_sort_reference_bit_for_bit() {
+        const SPECIAL: [f32; 6] = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x3D3);
+        let shapes = [
+            (1usize, 1usize),
+            (1, 6),
+            (6, 1),
+            (2, 2),
+            (3, 3),
+            (5, 4),
+            (167, 121),
+        ];
+        for (ny, nz) in shapes {
+            for round in 0..4 {
+                let mut img = SemImage::filled(ny, nz, 0.0);
+                for p in img.pixels_mut() {
+                    *p = match rng.gen_range(0..4u32) {
+                        0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+                        1 => rng.gen_range(-3..4i32) as f32,
+                        _ => rng.gen_range(-50.0..250.0f32),
+                    };
+                }
+                assert_bits_equal(
+                    &median3x3(&img),
+                    &median3x3_reference(&img),
+                    &format!("{ny}x{nz}, round {round}"),
+                );
+            }
+        }
+        for pattern in 0u32..1 << 9 {
+            let mut img = SemImage::filled(3, 3, 0.0);
+            for (i, p) in img.pixels_mut().iter_mut().enumerate() {
+                *p = (pattern >> i & 1) as f32;
+            }
+            assert_bits_equal(
+                &median3x3(&img),
+                &median3x3_reference(&img),
+                &format!("0/1 pattern {pattern:09b}"),
+            );
         }
     }
 

@@ -143,7 +143,7 @@ impl SemImage {
     /// background dominates every cross-section).
     ///
     /// The true median: the mean of the two middle values for even pixel
-    /// counts. NaN pixels are tolerated (`total_cmp` sorts them last
+    /// counts. NaN pixels are tolerated (`total_cmp` ranks them last
     /// instead of aborting the run) and an empty image reports `0.0`.
     pub fn median(&self) -> f32 {
         median_of(self.pixels.clone())
@@ -269,7 +269,7 @@ impl ImageStack {
         if self.slices.is_empty() {
             return;
         }
-        let medians: Vec<f32> = self.slices.iter().map(SemImage::median).collect();
+        let medians: Vec<f32> = rayon::par_map(&self.slices, SemImage::median);
         let target = median_of(medians.clone());
         for (s, m) in self.slices.iter_mut().zip(medians) {
             s.add_offset(target - m);
@@ -288,17 +288,27 @@ pub struct DriftTruth {
 
 /// True median of a sample: mean of the two middle values when the length
 /// is even, `0.0` when empty. `total_cmp` keeps a stray NaN pixel from
-/// aborting the sort (NaNs order last).
+/// aborting the selection (NaNs order last).
+///
+/// A selection, not a sort: values equal under `total_cmp` have identical
+/// bits, so the value selected at the middle rank — and, for even lengths,
+/// the largest of the lower half beside it — is bit for bit what a full
+/// sort would put there.
 fn median_of(mut v: Vec<f32>) -> f32 {
-    if v.is_empty() {
+    let len = v.len();
+    if len == 0 {
         return 0.0;
     }
-    v.sort_by(f32::total_cmp);
-    let mid = v.len() / 2;
-    if v.len().is_multiple_of(2) {
-        (v[mid - 1] + v[mid]) / 2.0
+    let (lower, &mut mid, _) = v.select_nth_unstable_by(len / 2, f32::total_cmp);
+    if len.is_multiple_of(2) {
+        let below = lower
+            .iter()
+            .copied()
+            .max_by(f32::total_cmp)
+            .expect("an even-length sample has a lower half");
+        (below + mid) / 2.0
     } else {
-        v[mid]
+        mid
     }
 }
 
@@ -1081,6 +1091,22 @@ mod tests {
         assert_eq!(unframed.planar_view(2 + margin).get(0, 3 + margin), 40.0);
     }
 
+    /// The sort-based median the selection replaced, kept as the
+    /// reference: a full `total_cmp` sort, then the middle value or the
+    /// mean of the two middle values.
+    fn median_reference(mut v: Vec<f32>) -> f32 {
+        if v.is_empty() {
+            return 0.0;
+        }
+        v.sort_by(f32::total_cmp);
+        let mid = v.len() / 2;
+        if v.len().is_multiple_of(2) {
+            (v[mid - 1] + v[mid]) / 2.0
+        } else {
+            v[mid]
+        }
+    }
+
     #[test]
     fn median_is_true_even_length_median() {
         let mut img = SemImage::filled(2, 1, 0.0);
@@ -1091,6 +1117,30 @@ mod tests {
         assert_eq!(odd.median(), 5.0);
         let empty = SemImage::filled(0, 0, 0.0);
         assert_eq!(empty.median(), 0.0);
+        // Bit for bit against the sort on odd and even lengths, with ±0.0,
+        // NaN and duplicates landing in and around the middle ranks. NaN
+        // takes one sign only: Rust leaves the bits of a sum of two
+        // different NaNs unspecified, for the sort as for the selection.
+        let mut rng = StdRng::seed_from_u64(0xED1A);
+        for len in (1..=12).chain([255, 256]) {
+            for round in 0..8 {
+                let mut img = SemImage::filled(len, 1, 0.0);
+                for p in img.pixels_mut() {
+                    *p = match rng.gen_range(0..5u32) {
+                        0 => [0.0, -0.0, f32::NAN][rng.gen_range(0..3usize)],
+                        1 => rng.gen_range(-2..3i32) as f32,
+                        _ => rng.gen_range(-9.0..9.0f32),
+                    };
+                }
+                let want = median_reference(img.pixels().to_vec());
+                assert_eq!(
+                    img.median().to_bits(),
+                    want.to_bits(),
+                    "len {len}, round {round}: {:?}",
+                    img.pixels()
+                );
+            }
+        }
     }
 
     #[test]
