@@ -559,13 +559,17 @@ fn report_from(
     }
 }
 
+/// The signature of [`MnaTransient::run`], the engine of every activation
+/// outside the tests that compare it with a reference.
+type Engine = fn(&MnaTransient, &MnaCircuit, &Stimulus) -> Result<MnaRun, SimError>;
+
 /// The one activation path: infers the SA roles of a bare netlist, attaches
-/// the MAT-column testbench and runs the matching schedule on the MNA
-/// engine.
+/// the MAT-column testbench and runs the matching schedule on `engine`.
 fn activate(
     mut nl: Netlist,
     cfg: &ActivationConfig,
     stored_one: bool,
+    engine: Engine,
 ) -> Result<SenseReport, SimError> {
     let roles = SaRoles::infer(&nl)?;
     attach_testbench(&mut nl, &roles, cfg);
@@ -585,7 +589,7 @@ fn activate(
             tr = tr.with_initial(sense, Volts(cfg.vpre));
         }
     }
-    let run = tr.run(&circuit, &stim)?;
+    let run = engine(&tr, &circuit, &stim)?;
     Ok(report_from(
         run,
         &roles,
@@ -628,7 +632,12 @@ pub fn try_simulate(
     cfg: &ActivationConfig,
     stored_one: bool,
 ) -> Result<SenseReport, SimError> {
-    activate(canonical_netlist(kind, cfg.dims.clone()), cfg, stored_one)
+    activate(
+        canonical_netlist(kind, cfg.dims.clone()),
+        cfg,
+        stored_one,
+        MnaTransient::run,
+    )
 }
 
 /// Simulates an activation of an **extracted** netlist: infers the SA roles
@@ -648,7 +657,7 @@ pub fn simulate_extracted_activation(
     cfg: &ActivationConfig,
     stored_one: bool,
 ) -> Result<SenseReport, SimError> {
-    activate(netlist.clone(), cfg, stored_one)
+    activate(netlist.clone(), cfg, stored_one, MnaTransient::run)
 }
 
 /// Sweeps threshold mismatch and returns the largest offset magnitude (in
@@ -881,6 +890,67 @@ mod tests {
                         bits(b.waveforms.trace(net).unwrap()),
                         "{kind} stored={stored} net {net}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn free_node_solve_matches_the_full_mna_reference() {
+        // The engine solves only the free-node block of each Newton step;
+        // the reference solves every node voltage and branch current with a
+        // finite-difference Jacobian. They may differ by rounding only: the
+        // same solver work, the same verdict and every sample within 1e-12 V.
+        for kind in [
+            SaTopologyKind::Classic,
+            SaTopologyKind::OffsetCancellation,
+            SaTopologyKind::ClassicWithIsolation,
+        ] {
+            for offset_mv in [0.0, -30.0, 50.0] {
+                let cfg = ActivationConfig {
+                    nsa_vt_offset: offset_mv * 1e-3,
+                    ..ActivationConfig::default()
+                };
+                for stored in [false, true] {
+                    let case = format!("{kind} offset {offset_mv} mV stored={stored}");
+                    let [engine, reference] =
+                        [MnaTransient::run, crate::mna::reference::run].map(|run| {
+                            let nl = canonical_netlist(kind, cfg.dims.clone());
+                            activate(nl, &cfg, stored, run).expect("valid testbench")
+                        });
+                    let (e, r) = (
+                        engine.solve_stats.expect("stats"),
+                        reference.solve_stats.expect("stats"),
+                    );
+                    assert_eq!(
+                        (e.steps, e.newton_iterations, e.max_newton_iterations),
+                        (r.steps, r.newton_iterations, r.max_newton_iterations),
+                        "{case}"
+                    );
+                    assert_eq!(engine.correct, reference.correct, "{case}");
+                    for stats in [e, r] {
+                        assert!(
+                            stats.worst_kcl_residual_amps < 1e-15,
+                            "{case}: KCL residual {} A",
+                            stats.worst_kcl_residual_amps
+                        );
+                    }
+                    assert_eq!(
+                        engine.waveforms.nets().count(),
+                        reference.waveforms.nets().count()
+                    );
+                    for net in reference.waveforms.nets() {
+                        let (a, b) = (
+                            engine.waveforms.trace(net).expect("same nets"),
+                            reference.waveforms.trace(net).expect("traced"),
+                        );
+                        assert_eq!(a.len(), b.len(), "{case} net {net}");
+                        let worst = a
+                            .iter()
+                            .zip(b)
+                            .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
+                        assert!(worst < 1e-12, "{case} net {net}: {worst} V apart");
+                    }
                 }
             }
         }

@@ -8,6 +8,19 @@
 //! closed-form square-law discharge pins the physics to first-order
 //! accuracy in the timestep.
 //!
+//! Each Newton iteration solves only the *free* nodes. A source's branch
+//! row pins its driven node, so the driven updates are known outright
+//! (`Δv_D = wf(t) − v_D`). The free-node block of the Jacobian is solved
+//! with `−J_FD·Δv_D` folded into its right-hand side, and each branch
+//! current update then follows from its driven node's KCL row
+//! (`Δi_B = −r_D − J_D·Δv`). That is the full system's Newton step, with
+//! the rows whose answer is known eliminated by hand. The Jacobian is
+//! analytic: its linear part (gmin, the parasitic and capacitor companions
+//! at the fixed step, resistors) is stamped once per run, and each
+//! iteration adds the MOSFETs' closed-form square-law partials
+//! ([`MosfetModel::channel_current_with_partials`]). After every step a
+//! residual-only pass audits KCL on every node row, driven rows included.
+//!
 //! The engine is driven by [`Stimulus`] schedules and accepts any
 //! [`hifi_circuit::Netlist`] — including netlists straight out of
 //! `hifi_extract`, which is what makes the behavioral conformance oracle
@@ -15,13 +28,10 @@
 
 use crate::model::MosfetModel;
 use crate::sim::{SimError, Stimulus, Waveform, Waveforms};
-use crate::stamp::{MnaSystem, NodeRef};
+use crate::stamp::MnaSystem;
 use hifi_circuit::{Device, Netlist};
 use hifi_units::{Femtofarads, Volts};
 use std::collections::HashMap;
-
-/// Perturbation used for the numerical MOSFET partial derivatives (V).
-const DERIV_STEP_V: f64 = 1e-6;
 
 #[derive(Debug, Clone)]
 enum Element {
@@ -292,44 +302,40 @@ impl MnaTransient {
                 return Err(SimError::UnknownNet(name.clone()));
             }
         }
-        let driven: Vec<bool> = {
-            let mut d = vec![false; n_nodes];
-            for &(idx, _) in &sources {
-                d[idx] = true;
-            }
-            d
-        };
+        let mut sys = NodeSystem::new(
+            circuit,
+            self.dt,
+            sources.iter().map(|&(idx, _)| idx).collect(),
+        );
 
+        // Unknowns: node voltages, then one current per source branch.
         let n = n_nodes + sources.len();
         let mut x = vec![0.0f64; n];
-        for (k, &(idx, wf)) in sources.iter().enumerate() {
+        for &(idx, wf) in &sources {
             x[idx] = wf.value(0.0);
-            x[n_nodes + k] = 0.0;
         }
         for (name, &v) in &self.initial {
             let idx = circuit.node_index(name).expect("validated above");
-            if !driven[idx] {
+            if !sys.driven.contains(&idx) {
                 x[idx] = v;
             }
         }
 
         let steps = (self.t_end / self.dt).ceil() as usize;
         let sample_every = (self.dt_sample / self.dt).round().max(1.0) as usize;
-        let mut traces: HashMap<String, Vec<f64>> = circuit
-            .node_names
-            .iter()
-            .map(|nm| (nm.clone(), Vec::with_capacity(steps / sample_every + 2)))
+        let mut traces: Vec<Vec<f64>> = (0..n_nodes)
+            .map(|_| Vec::with_capacity(steps / sample_every + 2))
             .collect();
 
         let mut stats = SolveStats::default();
-        let mut sys = MnaSystem::new(n);
-        let mut residual = vec![0.0f64; n];
+        let mut dx = vec![0.0f64; n];
+        let mut targets = vec![0.0f64; sources.len()];
         let mut v_prev = x[..n_nodes].to_vec();
 
         for step in 0..=steps {
             if step % sample_every == 0 {
-                for (i, nm) in circuit.node_names.iter().enumerate() {
-                    traces.get_mut(nm).expect("trace").push(x[i]);
+                for (trace, &v) in traces.iter_mut().zip(&x) {
+                    trace.push(v);
                 }
             }
             if step == steps {
@@ -337,16 +343,18 @@ impl MnaTransient {
             }
             let t_next = (step + 1) as f64 * self.dt;
             v_prev.copy_from_slice(&x[..n_nodes]);
+            for (target, &(_, wf)) in targets.iter_mut().zip(&sources) {
+                *target = wf.value(t_next);
+            }
 
             let mut converged = false;
             let mut worst_dv = f64::INFINITY;
             let mut iters = 0usize;
             while iters < self.max_newton {
                 iters += 1;
-                self.assemble(circuit, &sources, &v_prev, &x, t_next, &mut sys, None);
-                let Some(dx) = sys.solve() else {
-                    return Err(SimError::SingularSystem { time_s: t_next });
-                };
+                sys.assemble(&x, &v_prev);
+                sys.newton_step(&x, &targets, &mut dx)
+                    .ok_or(SimError::SingularSystem { time_s: t_next })?;
                 worst_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
                 let scale = if worst_dv > self.damping_v {
                     self.damping_v / worst_dv
@@ -372,8 +380,303 @@ impl MnaTransient {
             stats.newton_iterations += iters;
             stats.max_newton_iterations = stats.max_newton_iterations.max(iters);
 
+            // KCL audit at the accepted point, over every node row.
+            sys.assemble(&x, &v_prev);
+            let worst = sys.res.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+            stats.worst_kcl_residual_amps = stats.worst_kcl_residual_amps.max(worst);
+        }
+
+        Ok(MnaRun {
+            waveforms: Waveforms {
+                // The recorded grid, not the requested `dt_sample`.
+                dt_sample: sample_every as f64 * self.dt,
+                traces: circuit.node_names.iter().cloned().zip(traces).collect(),
+            },
+            stats,
+        })
+    }
+}
+
+/// One run's Newton system over the node voltages, with the source branch
+/// rows eliminated by hand (see the module docs).
+struct NodeSystem<'a> {
+    circuit: &'a MnaCircuit,
+    dt: f64,
+    /// Node count: `linear` and `jac` are row-major `n × n`.
+    n: usize,
+    /// The node each source branch drives, in branch order.
+    driven: Vec<usize>,
+    /// The undriven nodes in index order: the rows and columns of `block`.
+    free: Vec<usize>,
+    /// The Jacobian's linear part — gmin, the parasitic and capacitor
+    /// companions at the fixed `dt`, resistors — stamped once per run.
+    linear: Vec<f64>,
+    /// ∂(current leaving the row's node)/∂v(the column's node) at the last
+    /// assembled point.
+    jac: Vec<f64>,
+    /// Current leaving each node at the last assembled point, branch
+    /// currents included: the KCL residual.
+    res: Vec<f64>,
+    /// The free-node block of one Newton step.
+    block: MnaSystem,
+}
+
+impl<'a> NodeSystem<'a> {
+    fn new(circuit: &'a MnaCircuit, dt: f64, driven: Vec<usize>) -> Self {
+        let n = circuit.node_names.len();
+        let free: Vec<usize> = (0..n).filter(|i| !driven.contains(i)).collect();
+        let mut linear = vec![0.0; n * n];
+        let g_node = circuit.gmin_siemens + circuit.parasitic_f / dt;
+        for i in 0..n {
+            linear[i * n + i] += g_node;
+        }
+        for e in &circuit.elements {
+            let (a, b, g) = match *e {
+                Element::Resistor { a, b, siemens } => (a, b, siemens),
+                Element::Capacitor { a, b, farads } => (a, b, farads / dt),
+                Element::Mosfet(_) => continue,
+            };
+            for (row, col, v) in [(a, a, g), (a, b, -g), (b, b, g), (b, a, -g)] {
+                linear[row * n + col] += v;
+            }
+        }
+        Self {
+            circuit,
+            dt,
+            n,
+            driven,
+            block: MnaSystem::new(free.len()),
+            free,
+            jac: linear.clone(),
+            linear,
+            res: vec![0.0; n],
+        }
+    }
+
+    /// Evaluates `res` and `jac` at `x` (node voltages, then branch
+    /// currents); `v_prev` holds the node voltages of the last accepted
+    /// step.
+    fn assemble(&mut self, x: &[f64], v_prev: &[f64]) {
+        let (n, circuit, dt) = (self.n, self.circuit, self.dt);
+        let (res, jac) = (&mut self.res, &mut self.jac);
+        jac.copy_from_slice(&self.linear);
+        let geq_par = circuit.parasitic_f / dt;
+        for (i, r) in res.iter_mut().enumerate() {
+            *r = circuit.gmin_siemens * x[i] + geq_par * (x[i] - v_prev[i]);
+        }
+        for e in &circuit.elements {
+            match e {
+                Element::Resistor { a, b, siemens } => {
+                    let i = siemens * (x[*a] - x[*b]);
+                    res[*a] += i;
+                    res[*b] -= i;
+                }
+                Element::Capacitor { a, b, farads } => {
+                    let geq = farads / dt;
+                    let i = geq * ((x[*a] - x[*b]) - (v_prev[*a] - v_prev[*b]));
+                    res[*a] += i;
+                    res[*b] -= i;
+                }
+                Element::Mosfet(m) => {
+                    let (i_ds, partials) =
+                        m.model
+                            .channel_current_with_partials(x[m.gate], x[m.source], x[m.drain]);
+                    // Positive i_ds flows drain→source through the channel,
+                    // i.e. leaves the drain node and enters the source node.
+                    res[m.drain] += i_ds;
+                    res[m.source] -= i_ds;
+                    for (col, p) in [m.gate, m.source, m.drain].into_iter().zip(partials) {
+                        jac[m.drain * n + col] += p;
+                        jac[m.source * n + col] -= p;
+                    }
+                }
+            }
+        }
+        // Each branch current leaves its driven node.
+        for (k, &d) in self.driven.iter().enumerate() {
+            res[d] += x[n + k];
+        }
+    }
+
+    /// Solves the Newton step at the last assembled point into `dx` (node
+    /// voltages, then branch currents), each source branch pinning its
+    /// node to its `targets` entry. `None` when the free-node block has no
+    /// usable pivot.
+    fn newton_step(&mut self, x: &[f64], targets: &[f64], dx: &mut [f64]) -> Option<()> {
+        let n = self.n;
+        // Branch rows: v_D + Δv_D = wf(t).
+        for (&d, &target) in self.driven.iter().zip(targets) {
+            dx[d] = target - x[d];
+        }
+        // Free rows: J_FF·Δv_F = −r_F − J_FD·Δv_D.
+        for (r, &i) in self.free.iter().enumerate() {
+            let jac_row = &self.jac[i * n..(i + 1) * n];
+            let (block_row, rhs) = self.block.row_mut(r);
+            *rhs = self
+                .driven
+                .iter()
+                .fold(-self.res[i], |acc, &d| acc - jac_row[d] * dx[d]);
+            for (a, &j) in block_row.iter_mut().zip(&self.free) {
+                *a = jac_row[j];
+            }
+        }
+        let dv_free = self.block.solve()?;
+        for (&i, &dv) in self.free.iter().zip(dv_free) {
+            dx[i] = dv;
+        }
+        // Driven rows: J_D·Δv + Δi_B = −r_D.
+        let (dv, di) = dx.split_at_mut(n);
+        for (&d, di) in self.driven.iter().zip(di) {
+            let jac_row = &self.jac[d * n..(d + 1) * n];
+            *di = jac_row
+                .iter()
+                .zip(&*dv)
+                .fold(-self.res[d], |acc, (j, v)| acc - j * v);
+        }
+        Some(())
+    }
+}
+
+/// The full-MNA engine this module's free-node solve replaced, kept as the
+/// reference the reduced engine is tested against: every node voltage and
+/// every source branch current is an unknown of one dense system, and the
+/// MOSFET Jacobian comes from central finite differences.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Element, MnaCircuit, MnaRun, MnaTransient, SolveStats};
+    use crate::sim::{SimError, Stimulus, Waveform, Waveforms};
+    use crate::stamp::MnaSystem;
+    use std::collections::HashMap;
+
+    /// Perturbation used for the numerical MOSFET partial derivatives (V).
+    const DERIV_STEP_V: f64 = 1e-6;
+
+    /// Adds `v` at (`row`, `col`).
+    fn add(sys: &mut MnaSystem, row: usize, col: usize, v: f64) {
+        sys.row_mut(row).0[col] += v;
+    }
+
+    /// Stamps a conductance `g` between two unknowns: the four-point
+    /// pattern.
+    fn add_conductance(sys: &mut MnaSystem, i: usize, j: usize, g: f64) {
+        add(sys, i, i, g);
+        add(sys, i, j, -g);
+        add(sys, j, j, g);
+        add(sys, j, i, -g);
+    }
+
+    /// [`MnaTransient::run`] on the full system.
+    pub(crate) fn run(
+        tr: &MnaTransient,
+        circuit: &MnaCircuit,
+        stimulus: &Stimulus,
+    ) -> Result<MnaRun, SimError> {
+        let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+        if let Some(&bad) = [tr.dt, tr.t_end, tr.dt_sample]
+            .iter()
+            .find(|&&x| !positive(x))
+        {
+            return Err(SimError::InvalidTimestep(bad));
+        }
+        let n_nodes = circuit.node_names.len();
+
+        let mut sources: Vec<(usize, &Waveform)> = Vec::new();
+        let mut driven_names: Vec<&str> = stimulus.driven_nets().collect();
+        driven_names.sort_unstable();
+        for name in driven_names {
+            let idx = circuit
+                .node_index(name)
+                .ok_or_else(|| SimError::UnknownNet(name.into()))?;
+            sources.push((idx, stimulus.waveform(name).expect("driven net")));
+        }
+        for name in tr.initial.keys() {
+            if circuit.node_index(name).is_none() {
+                return Err(SimError::UnknownNet(name.clone()));
+            }
+        }
+        let driven: Vec<bool> = {
+            let mut d = vec![false; n_nodes];
+            for &(idx, _) in &sources {
+                d[idx] = true;
+            }
+            d
+        };
+
+        let n = n_nodes + sources.len();
+        let mut x = vec![0.0f64; n];
+        for (k, &(idx, wf)) in sources.iter().enumerate() {
+            x[idx] = wf.value(0.0);
+            x[n_nodes + k] = 0.0;
+        }
+        for (name, &v) in &tr.initial {
+            let idx = circuit.node_index(name).expect("validated above");
+            if !driven[idx] {
+                x[idx] = v;
+            }
+        }
+
+        let steps = (tr.t_end / tr.dt).ceil() as usize;
+        let sample_every = (tr.dt_sample / tr.dt).round().max(1.0) as usize;
+        let mut traces: HashMap<String, Vec<f64>> = circuit
+            .node_names
+            .iter()
+            .map(|nm| (nm.clone(), Vec::with_capacity(steps / sample_every + 2)))
+            .collect();
+
+        let mut stats = SolveStats::default();
+        let mut sys = MnaSystem::new(n);
+        let mut residual = vec![0.0f64; n];
+        let mut v_prev = x[..n_nodes].to_vec();
+
+        for step in 0..=steps {
+            if step % sample_every == 0 {
+                for (i, nm) in circuit.node_names.iter().enumerate() {
+                    traces.get_mut(nm).expect("trace").push(x[i]);
+                }
+            }
+            if step == steps {
+                break;
+            }
+            let t_next = (step + 1) as f64 * tr.dt;
+            v_prev.copy_from_slice(&x[..n_nodes]);
+
+            let mut converged = false;
+            let mut worst_dv = f64::INFINITY;
+            let mut iters = 0usize;
+            while iters < tr.max_newton {
+                iters += 1;
+                assemble(tr, circuit, &sources, &v_prev, &x, t_next, &mut sys, None);
+                let Some(dx) = sys.solve() else {
+                    return Err(SimError::SingularSystem { time_s: t_next });
+                };
+                worst_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+                let scale = if worst_dv > tr.damping_v {
+                    tr.damping_v / worst_dv
+                } else {
+                    1.0
+                };
+                for (xi, di) in x.iter_mut().zip(dx) {
+                    *xi += scale * di;
+                }
+                if worst_dv < tr.tol_v {
+                    converged = true;
+                    break;
+                }
+            }
+            if !converged {
+                return Err(SimError::NoConvergence {
+                    time_s: t_next,
+                    iterations: iters,
+                    worst_delta_v: worst_dv,
+                });
+            }
+            stats.steps += 1;
+            stats.newton_iterations += iters;
+            stats.max_newton_iterations = stats.max_newton_iterations.max(iters);
+
             // KCL audit at the accepted point: residual-only pass.
-            self.assemble(
+            assemble(
+                tr,
                 circuit,
                 &sources,
                 &v_prev,
@@ -390,21 +693,20 @@ impl MnaTransient {
 
         Ok(MnaRun {
             waveforms: Waveforms {
-                // The recorded grid, not the requested `dt_sample`.
-                dt_sample: sample_every as f64 * self.dt,
+                dt_sample: sample_every as f64 * tr.dt,
                 traces,
             },
             stats,
         })
     }
 
-    /// Assembles the Newton system at the guess `x`: Jacobian into `sys.a`
-    /// and `−residual` into `sys.b`, so `solve()` yields the update `Δx`.
-    /// With `residual_out` set, only the residual vector is produced (used
-    /// for the post-convergence KCL audit).
+    /// Assembles the Newton system at the guess `x`: Jacobian into the
+    /// matrix and `−residual` into the right-hand side, so `solve()` yields
+    /// the update `Δx`. With `residual_out` set, only the residual vector is
+    /// produced (used for the post-convergence KCL audit).
     #[allow(clippy::too_many_arguments)]
     fn assemble(
-        &self,
+        tr: &MnaTransient,
         circuit: &MnaCircuit,
         sources: &[(usize, &Waveform)],
         v_prev: &[f64],
@@ -414,7 +716,7 @@ impl MnaTransient {
         mut residual_out: Option<&mut Vec<f64>>,
     ) {
         let n_nodes = circuit.node_names.len();
-        sys.clear();
+        *sys = MnaSystem::new(x.len());
         if let Some(r) = residual_out.as_deref_mut() {
             r.iter_mut().for_each(|v| *v = 0.0);
         }
@@ -425,16 +727,16 @@ impl MnaTransient {
             ($node:expr, $amps:expr) => {
                 match residual_out.as_deref_mut() {
                     Some(r) => r[$node] += $amps,
-                    None => sys.stamp_rhs(NodeRef::Node($node), -($amps)),
+                    None => *sys.row_mut($node).1 += -($amps),
                 }
             };
         }
 
-        let geq_par = circuit.parasitic_f / self.dt;
+        let geq_par = circuit.parasitic_f / tr.dt;
         for i in 0..n_nodes {
             let g = circuit.gmin_siemens + geq_par;
             if jacobian {
-                sys.stamp_conductance(NodeRef::Node(i), NodeRef::Ground, g);
+                add(sys, i, i, g);
             }
             leave!(
                 i,
@@ -445,16 +747,16 @@ impl MnaTransient {
             match e {
                 Element::Resistor { a, b, siemens } => {
                     if jacobian {
-                        sys.stamp_conductance(NodeRef::Node(*a), NodeRef::Node(*b), *siemens);
+                        add_conductance(sys, *a, *b, *siemens);
                     }
                     let i = siemens * (x[*a] - x[*b]);
                     leave!(*a, i);
                     leave!(*b, -i);
                 }
                 Element::Capacitor { a, b, farads } => {
-                    let geq = farads / self.dt;
+                    let geq = farads / tr.dt;
                     if jacobian {
-                        sys.stamp_conductance(NodeRef::Node(*a), NodeRef::Node(*b), geq);
+                        add_conductance(sys, *a, *b, geq);
                     }
                     let i = geq * ((x[*a] - x[*b]) - (v_prev[*a] - v_prev[*b]));
                     leave!(*a, i);
@@ -463,8 +765,6 @@ impl MnaTransient {
                 Element::Mosfet(m) => {
                     let (vg, vs, vd) = (x[m.gate], x[m.source], x[m.drain]);
                     let i_ds = m.model.channel_current(vg, vs, vd);
-                    // Positive i_ds flows drain→source through the channel,
-                    // i.e. leaves the drain node and enters the source node.
                     leave!(m.drain, i_ds);
                     leave!(m.source, -i_ds);
                     if jacobian {
@@ -478,35 +778,29 @@ impl MnaTransient {
                                 ))
                                 / (2.0 * h)
                         };
-                        let (d, s, g) = (
-                            NodeRef::Node(m.drain),
-                            NodeRef::Node(m.source),
-                            NodeRef::Node(m.gate),
-                        );
+                        let (d, s, g) = (m.drain, m.source, m.gate);
                         for (col, dgdv) in [
                             (g, di(vg + h, vs, vd)),
                             (s, di(vg, vs + h, vd)),
                             (d, di(vg, vs, vd + h)),
                         ] {
-                            sys.stamp_jacobian(d, col, dgdv);
-                            sys.stamp_jacobian(s, col, -dgdv);
+                            add(sys, d, col, dgdv);
+                            add(sys, s, col, -dgdv);
                         }
                     }
                 }
             }
         }
-        let n_nodes_base = n_nodes;
         for (k, &(idx, wf)) in sources.iter().enumerate() {
-            let branch = n_nodes_base + k;
+            let branch = n_nodes + k;
             let i_br = x[branch];
-            // Branch current leaves the driven node's KCL row; the branch
-            // row pins the node voltage to the waveform.
             leave!(idx, i_br);
             match residual_out.as_deref_mut() {
                 Some(r) => r[branch] = x[idx] - wf.value(t_next),
                 None => {
-                    sys.stamp_branch(branch, NodeRef::Node(idx), NodeRef::Ground);
-                    sys.stamp_rhs(NodeRef::Node(branch), -(x[idx] - wf.value(t_next)));
+                    add(sys, idx, branch, 1.0);
+                    add(sys, branch, idx, 1.0);
+                    *sys.row_mut(branch).1 += -(x[idx] - wf.value(t_next));
                 }
             }
         }

@@ -106,15 +106,22 @@ impl MosfetModel {
     /// (`vsg`, `vsd`); see [`MosfetModel::channel_current`].
     pub fn current(&self, vgs: f64, vds: f64) -> f64 {
         debug_assert!(vds >= 0.0, "current() expects vds >= 0 (swap terminals)");
+        self.square_law(vgs, vds)[0]
+    }
+
+    /// `[current, ∂I/∂vgs, ∂I/∂vds]` of the square law at `vgs`/`vds ≥ 0`.
+    /// A region edge takes the region [`MosfetModel::region`] assigns it.
+    fn square_law(&self, vgs: f64, vds: f64) -> [f64; 3] {
         let vov = vgs - self.vt();
-        if vov <= 0.0 {
-            return 0.0;
-        }
         let beta = self.kp * self.w_over_l;
-        if vds < vov {
-            beta * (vov * vds - 0.5 * vds * vds)
-        } else {
-            0.5 * beta * vov * vov
+        match self.region(vgs, vds) {
+            MosfetOpRegion::Cutoff => [0.0; 3],
+            MosfetOpRegion::Triode => [
+                beta * (vov * vds - 0.5 * vds * vds),
+                beta * vds,
+                beta * (vov - vds),
+            ],
+            MosfetOpRegion::Saturation => [0.5 * beta * vov * vov, beta * vov, 0.0],
         }
     }
 
@@ -125,23 +132,29 @@ impl MosfetModel {
     /// Handles source/drain symmetry: the physical source is whichever
     /// terminal is lower (NMOS) or higher (PMOS).
     pub fn channel_current(&self, vg: f64, vs: f64, vd: f64) -> f64 {
-        match self.polarity {
-            Polarity::Nmos => {
-                if vd >= vs {
-                    self.current(vg - vs, vd - vs)
-                } else {
-                    -self.current(vg - vd, vs - vd)
-                }
-            }
-            Polarity::Pmos => {
-                // PMOS conducts when the gate is below the source.
-                if vd <= vs {
-                    -self.current(vs - vg, vs - vd)
-                } else {
-                    self.current(vd - vg, vd - vs)
-                }
-            }
-        }
+        self.channel_current_with_partials(vg, vs, vd).0
+    }
+
+    /// [`MosfetModel::channel_current`] together with its closed-form
+    /// partial derivatives `[∂I/∂vg, ∂I/∂vs, ∂I/∂vd]` (A/V) — the
+    /// MOSFET's entries in the MNA Newton Jacobian. The current is the one
+    /// `channel_current` returns, bit for bit.
+    pub fn channel_current_with_partials(&self, vg: f64, vs: f64, vd: f64) -> (f64, [f64; 3]) {
+        // `forward`: the `s` terminal is the physical source. PMOS
+        // conducts when the gate is below the source, so its arguments are
+        // source-referenced magnitudes.
+        let (forward, sign, [i, gm, gds]) = match self.polarity {
+            Polarity::Nmos if vd >= vs => (true, 1.0, self.square_law(vg - vs, vd - vs)),
+            Polarity::Nmos => (false, -1.0, self.square_law(vg - vd, vs - vd)),
+            Polarity::Pmos if vd <= vs => (true, -1.0, self.square_law(vs - vg, vs - vd)),
+            Polarity::Pmos => (false, 1.0, self.square_law(vd - vg, vd - vs)),
+        };
+        let partials = if forward {
+            [gm, -gm - gds, gds]
+        } else {
+            [-gm, -gds, gm + gds]
+        };
+        (sign * i, partials)
     }
 }
 

@@ -15,7 +15,7 @@ pub enum SimError {
     /// A timestep, duration or sampling interval was not strictly
     /// positive; carries the offending value.
     InvalidTimestep(f64),
-    /// A piecewise-linear waveform had unsorted time points.
+    /// A piecewise-linear waveform had unsorted or non-finite time points.
     UnsortedWaveform(String),
     /// Newton iteration failed to converge at a timestep.
     NoConvergence {
@@ -42,7 +42,9 @@ impl core::fmt::Display for SimError {
             SimError::UnknownNet(n) => write!(f, "unknown net `{n}`"),
             SimError::UnknownDevice(d) => write!(f, "unknown device `{d}`"),
             SimError::InvalidTimestep(dt) => write!(f, "invalid timestep {dt}"),
-            SimError::UnsortedWaveform(n) => write!(f, "waveform for `{n}` is not time-sorted"),
+            SimError::UnsortedWaveform(n) => {
+                write!(f, "waveform for `{n}` is not time-sorted with finite times")
+            }
             SimError::NoConvergence {
                 time_s,
                 iterations,
@@ -73,9 +75,10 @@ impl Waveform {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnsortedWaveform`] when times decrease.
+    /// Returns [`SimError::UnsortedWaveform`] when times decrease or a time
+    /// is not finite.
     pub fn pwl(points: Vec<(f64, f64)>) -> Result<Self, SimError> {
-        if points.windows(2).any(|w| w[1].0 < w[0].0) {
+        if points.iter().any(|p| !p.0.is_finite()) || points.windows(2).any(|w| w[1].0 < w[0].0) {
             return Err(SimError::UnsortedWaveform("<anonymous>".into()));
         }
         Ok(Self { points })
@@ -149,17 +152,22 @@ impl Stimulus {
     ///
     /// # Panics
     ///
-    /// Panics if the points are not time-sorted (use [`Waveform::pwl`] for a
-    /// fallible version).
+    /// Panics if the points are not time-sorted or a time is not finite
+    /// (use [`Waveform::pwl`] for a fallible version).
     pub fn pwl(&mut self, net: &str, points: Vec<(f64, f64)>) -> &mut Self {
-        let wf = Waveform::pwl(points)
-            .unwrap_or_else(|_| panic!("stimulus for `{net}` must be time-sorted"));
+        let wf = Waveform::pwl(points).unwrap_or_else(|_| {
+            panic!("stimulus for `{net}` must be time-sorted with finite times")
+        });
         self.drives.insert(net.into(), wf);
         self
     }
 
     /// Convenience: hold `v0` until `t0`, ramp linearly to `v1` by `t1`,
     /// then hold `v1`. Extends an existing waveform on the net if present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t0` or `t1` is not finite.
     pub fn ramp(&mut self, net: &str, t0: f64, t1: f64, v0: f64, v1: f64) -> &mut Self {
         let mut points = match self.drives.remove(net) {
             Some(w) => w.points,
@@ -167,9 +175,8 @@ impl Stimulus {
         };
         points.push((t0, v0));
         points.push((t1, v1));
-        points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        self.drives.insert(net.into(), Waveform { points });
-        self
+        points.sort_by(|a, b| a.0.total_cmp(&b.0));
+        self.pwl(net, points)
     }
 
     /// Iterates over driven net names.
@@ -269,6 +276,40 @@ mod tests {
         assert!((w.value(0.5) - 0.5).abs() < 1e-12);
         assert_eq!(w.value(5.0), 1.0);
         assert!(Waveform::pwl(vec![(1.0, 0.0), (0.0, 1.0)]).is_err());
+    }
+
+    #[test]
+    fn non_finite_stimulus_times_are_rejected_when_built() {
+        // A NaN time used to pass the sort check and panic mid-run inside
+        // `Waveform::value`; an infinite one can interpolate to NaN volts.
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let points = vec![(0.0, 0.0), (t, 1.0), (2e-9, 1.0)];
+            assert_eq!(
+                Waveform::pwl(points.clone()),
+                Err(SimError::UnsortedWaveform("<anonymous>".into())),
+                "time {t}"
+            );
+            let panics = |build: &dyn Fn(&mut Stimulus)| {
+                let build = std::panic::AssertUnwindSafe(|| build(&mut Stimulus::new()));
+                std::panic::catch_unwind(build).is_err()
+            };
+            let pwl = |s: &mut Stimulus| {
+                s.pwl("A", points.clone());
+            };
+            assert!(panics(&pwl), "pwl time {t}");
+            assert!(
+                panics(&|s| {
+                    s.ramp("A", t, 2e-9, 0.0, 1.0);
+                }),
+                "ramp t0 {t}"
+            );
+            assert!(
+                panics(&|s| {
+                    s.ramp("A", 1e-9, t, 0.0, 1.0);
+                }),
+                "ramp t1 {t}"
+            );
+        }
     }
 
     #[test]

@@ -1,37 +1,23 @@
-//! Dense MNA system assembly and direct solution.
+//! Dense direct solve of the free-node Newton block.
 //!
-//! A Modified-Nodal-Analysis system over `n` unknowns: one row per
-//! non-ground node (KCL) plus one row per voltage-source branch (the branch
-//! current is an unknown, the branch row pins the node-voltage difference).
-//! The ground node is eliminated at stamp time: stamps that reference
-//! [`NodeRef::Ground`] simply skip the ground row/column.
+//! The full MNA system of a transient step has one KCL row per node and one
+//! row per voltage-source branch, whose current is an extra unknown. A
+//! branch row pins its driven node outright, so the transient engine
+//! ([`crate::mna`]) never hands those rows to a solver: each Newton step
+//! takes the driven-node updates from the branch rows, solves the
+//! free-node block here — with the driven updates' coupling `−J_FD·Δv_D`
+//! already folded into the right-hand side — and recovers every branch
+//! current update from its driven node's KCL row afterwards. The Jacobian
+//! behind the block is analytic: a linear part stamped once per run plus
+//! the MOSFETs' closed-form square-law partials.
 //!
-//! Sense-amplifier testbenches stay small (tens of nodes), so a dense
-//! row-major matrix with Gaussian elimination and partial pivoting is both
-//! the simplest and the fastest correct choice — no sparse bookkeeping, and
-//! pivoting keeps the latch's near-singular high-gain moments stable.
+//! Sense-amplifier testbenches leave only a handful of free nodes (6 for the
+//! classic SA, 8 for the OCSA), so a dense row-major matrix with Gaussian
+//! elimination and partial pivoting is both the simplest and the fastest
+//! correct choice — no sparse bookkeeping, and pivoting keeps the latch's
+//! near-singular high-gain moments stable.
 
-/// A node reference in the MNA system: either the eliminated ground
-/// reference or a numbered unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NodeRef {
-    /// The global reference; its row and column are eliminated.
-    Ground,
-    /// Unknown `i` (a node voltage or, above the node count, a branch
-    /// current).
-    Node(usize),
-}
-
-impl NodeRef {
-    fn index(self) -> Option<usize> {
-        match self {
-            NodeRef::Ground => None,
-            NodeRef::Node(i) => Some(i),
-        }
-    }
-}
-
-/// Dense `A·x = b` system with MNA stamp helpers.
+/// Dense `A·x = b` system, solved in place.
 #[derive(Debug, Clone)]
 pub(crate) struct MnaSystem {
     n: usize,
@@ -48,74 +34,21 @@ impl MnaSystem {
         }
     }
 
-    /// Zeroes the system for re-assembly (same sparsity every Newton
-    /// iteration, so the allocation is reused).
-    pub(crate) fn clear(&mut self) {
-        self.a.iter_mut().for_each(|x| *x = 0.0);
-        self.b.iter_mut().for_each(|x| *x = 0.0);
+    /// Row `row` of the matrix and its right-hand-side entry, for filling
+    /// the system before [`MnaSystem::solve`].
+    pub(crate) fn row_mut(&mut self, row: usize) -> (&mut [f64], &mut f64) {
+        (
+            &mut self.a[row * self.n..(row + 1) * self.n],
+            &mut self.b[row],
+        )
     }
 
-    fn add(&mut self, row: usize, col: usize, v: f64) {
-        self.a[row * self.n + col] += v;
-    }
-
-    /// Stamps a conductance `g` (siemens) between two nodes: the standard
-    /// four-point pattern, rows/columns at ground skipped.
-    pub(crate) fn stamp_conductance(&mut self, a: NodeRef, b: NodeRef, g: f64) {
-        if let Some(i) = a.index() {
-            self.add(i, i, g);
-            if let Some(j) = b.index() {
-                self.add(i, j, -g);
-            }
-        }
-        if let Some(j) = b.index() {
-            self.add(j, j, g);
-            if let Some(i) = a.index() {
-                self.add(j, i, -g);
-            }
-        }
-    }
-
-    /// Stamps a partial derivative ∂(current leaving `row`)/∂v(`col`) into
-    /// the Jacobian — the general stamp nonlinear devices reduce to.
-    pub(crate) fn stamp_jacobian(&mut self, row: NodeRef, col: NodeRef, dgdv: f64) {
-        if let (Some(r), Some(c)) = (row.index(), col.index()) {
-            self.add(r, c, dgdv);
-        }
-    }
-
-    /// Adds to the right-hand side of a row (KCL residual or branch
-    /// equation residual).
-    pub(crate) fn stamp_rhs(&mut self, row: NodeRef, v: f64) {
-        if let Some(r) = row.index() {
-            self.b[r] += v;
-        }
-    }
-
-    /// Couples a voltage-source branch current (unknown `branch`) into the
-    /// KCL rows of its terminals: the branch current leaves the positive
-    /// node and enters the negative one. The branch row itself pins
-    /// `v(pos) − v(neg)`, whose residual the caller stamps via
-    /// [`MnaSystem::stamp_rhs`].
-    pub(crate) fn stamp_branch(&mut self, branch: usize, pos: NodeRef, neg: NodeRef) {
-        if let Some(p) = pos.index() {
-            self.add(p, branch, 1.0);
-            self.add(branch, p, 1.0);
-        }
-        if let Some(q) = neg.index() {
-            self.add(q, branch, -1.0);
-            self.add(branch, q, -1.0);
-        }
-    }
-
-    /// Solves the assembled system in place by Gaussian elimination with
-    /// partial pivoting, returning the solution vector. Returns `None` when
-    /// the matrix is numerically singular (no usable pivot).
-    pub(crate) fn solve(&mut self) -> Option<Vec<f64>> {
+    /// Solves the system in place by Gaussian elimination with partial
+    /// pivoting and returns the solution, which overwrites the right-hand
+    /// side; the matrix is left eliminated. Returns `None` when the matrix
+    /// is numerically singular (no usable pivot).
+    pub(crate) fn solve(&mut self) -> Option<&[f64]> {
         let n = self.n;
-        if n == 0 {
-            return Some(Vec::new());
-        }
         let a = &mut self.a;
         let b = &mut self.b;
         for col in 0..n {
@@ -152,15 +85,16 @@ impl MnaSystem {
                 b[row] -= factor * b[col];
             }
         }
-        let mut x = vec![0.0; n];
+        // Back substitution into `b`: entries above `row` already hold
+        // their solution.
         for row in (0..n).rev() {
             let mut sum = b[row];
             for k in (row + 1)..n {
-                sum -= a[row * n + k] * x[k];
+                sum -= a[row * n + k] * b[k];
             }
-            x[row] = sum / a[row * n + row];
+            b[row] = sum / a[row * n + row];
         }
-        Some(x)
+        Some(b)
     }
 }
 
@@ -168,17 +102,28 @@ impl MnaSystem {
 mod tests {
     use super::*;
 
+    /// Fills `sys` from row-major `rows` of `[a…, b]`.
+    fn system(rows: &[&[f64]]) -> MnaSystem {
+        let mut sys = MnaSystem::new(rows.len());
+        for (r, row) in rows.iter().enumerate() {
+            let (a, b) = sys.row_mut(r);
+            a.copy_from_slice(&row[..rows.len()]);
+            *b = row[rows.len()];
+        }
+        sys
+    }
+
     #[test]
     fn resistor_divider_solves_exactly() {
         // 1 V source -> 1 kΩ -> node0 -> 1 kΩ -> ground: node0 = 0.5 V.
-        // Unknowns: v0 (0), v_src (1), i_branch (2).
-        let mut sys = MnaSystem::new(3);
-        let v0 = NodeRef::Node(0);
-        let vs = NodeRef::Node(1);
-        sys.stamp_conductance(vs, v0, 1e-3);
-        sys.stamp_conductance(v0, NodeRef::Ground, 1e-3);
-        sys.stamp_branch(2, vs, NodeRef::Ground);
-        sys.stamp_rhs(NodeRef::Node(2), 1.0);
+        // Unknowns: v0 (0), v_src (1), i_branch (2); the source branch
+        // current leaves the source node's KCL row.
+        let g = 1e-3;
+        let mut sys = system(&[
+            &[2.0 * g, -g, 0.0, 0.0],
+            &[-g, g, 1.0, 0.0],
+            &[0.0, 1.0, 0.0, 1.0],
+        ]);
         let x = sys.solve().expect("non-singular");
         assert!((x[0] - 0.5).abs() < 1e-12, "divider mid = {}", x[0]);
         assert!((x[1] - 1.0).abs() < 1e-12);
@@ -191,8 +136,7 @@ mod tests {
     #[test]
     fn singular_matrix_is_reported() {
         // A floating node with no conductance anywhere.
-        let mut sys = MnaSystem::new(2);
-        sys.stamp_conductance(NodeRef::Node(0), NodeRef::Ground, 1.0);
+        let mut sys = system(&[&[1.0, 0.0, 0.0], &[0.0, 0.0, 0.0]]);
         assert!(sys.solve().is_none());
     }
 
@@ -200,15 +144,27 @@ mod tests {
     fn pivoting_handles_zero_diagonal() {
         // Pure voltage source between two nodes bridged by a conductance:
         // the branch row has a zero diagonal until pivoted.
-        let mut sys = MnaSystem::new(3);
-        let a = NodeRef::Node(0);
-        let b = NodeRef::Node(1);
-        sys.stamp_conductance(a, NodeRef::Ground, 1.0);
-        sys.stamp_conductance(b, NodeRef::Ground, 1.0);
-        sys.stamp_branch(2, a, b);
-        sys.stamp_rhs(NodeRef::Node(2), 0.4);
+        let mut sys = system(&[
+            &[1.0, 0.0, 1.0, 0.0],
+            &[0.0, 1.0, -1.0, 0.0],
+            &[1.0, -1.0, 0.0, 0.4],
+        ]);
         let x = sys.solve().expect("pivoting succeeds");
         assert!((x[0] - x[1] - 0.4).abs() < 1e-12);
         assert!(((x[0] + x[1]) - 0.0).abs() < 1e-12, "symmetric split");
+    }
+
+    #[test]
+    fn reused_system_solves_each_refill_afresh() {
+        // The transient engine refills one system every Newton iteration;
+        // nothing of the previous, eliminated solve may leak into the next.
+        let mut sys = system(&[&[2.0, 1.0, 3.0], &[1.0, 3.0, 5.0]]);
+        assert_eq!(sys.solve().expect("non-singular"), &[0.8, 1.4]);
+        for (r, row) in [[4.0, 0.0, 2.0], [0.0, 0.5, 1.0]].iter().enumerate() {
+            let (a, b) = sys.row_mut(r);
+            a.copy_from_slice(&row[..2]);
+            *b = row[2];
+        }
+        assert_eq!(sys.solve().expect("non-singular"), &[0.5, 2.0]);
     }
 }

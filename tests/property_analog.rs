@@ -93,3 +93,53 @@ proptest! {
         prop_assert!((va - expected).abs() < 1e-3, "va {va} expected {expected}");
     }
 }
+
+proptest! {
+    // A cheap model evaluation, sampled densely enough that every polarity,
+    // orientation and region (PMOS triode is the rarest) shows up.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mosfet_partials_match_central_differences(
+        pmos in any::<bool>(), wl in 0.5f64..10.0, vt_offset in -0.1f64..0.1,
+        vg in 0.0f64..2.4, vs in 0.0f64..1.2, vd in 0.0f64..1.2,
+    ) {
+        let polarity = if pmos { Polarity::Pmos } else { Polarity::Nmos };
+        let m = MosfetModel::new(polarity, wl).with_vt_offset(Volts(vt_offset));
+        let (i, partials) = m.channel_current_with_partials(vg, vs, vd);
+        // The physical source is the lower terminal of an NMOS and the
+        // higher of a PMOS; `current` takes magnitudes in that frame.
+        let oriented = match (pmos, vd >= vs, vd <= vs) {
+            (false, true, _) => m.current(vg - vs, vd - vs),
+            (false, false, _) => -m.current(vg - vd, vs - vd),
+            (true, _, true) => -m.current(vs - vg, vs - vd),
+            (true, _, false) => m.current(vd - vg, vd - vs),
+        };
+        prop_assert_eq!(i.to_bits(), m.channel_current(vg, vs, vd).to_bits());
+        prop_assert_eq!(i.to_bits(), oriented.to_bits());
+        // The square law kinks at the region edges (Vov = 0, Vds = Vov) and
+        // the orientation flips at vd = vs: no derivative there to compare.
+        let src = if pmos { vs.max(vd) } else { vs.min(vd) };
+        let vov = if pmos { src - vg } else { vg - src } - m.vt();
+        let vds = (vd - vs).abs();
+        if vov.abs() > 1e-4 && (vds - vov).abs() > 1e-4 && vds > 1e-4 {
+            // Relative to the largest partial, |∂I/∂vs|: a central difference
+            // of a large current has a rounding floor a near-zero output
+            // conductance alone would not cover.
+            let scale = partials.iter().fold(0.0f64, |m, p| m.max(p.abs()));
+            let h = 1e-6;
+            for (k, &p) in partials.iter().enumerate() {
+                let (mut up, mut down) = ([vg, vs, vd], [vg, vs, vd]);
+                up[k] += h;
+                down[k] -= h;
+                let fd = (m.channel_current(up[0], up[1], up[2])
+                    - m.channel_current(down[0], down[1], down[2]))
+                    / (2.0 * h);
+                prop_assert!(
+                    (fd - p).abs() <= 1e-6 * scale,
+                    "partial {k}: closed form {p}, central difference {fd}"
+                );
+            }
+        }
+    }
+}
