@@ -272,18 +272,27 @@ impl MnaTransient {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidTimestep`] / [`SimError::UnknownNet`] for
-    /// bad configuration, [`SimError::NoConvergence`] when Newton iteration
+    /// Returns [`SimError::InvalidTimestep`] when `dt`, `t_end` or
+    /// `dt_sample` is not finite and positive, or when the step count
+    /// `t_end / dt` does not fit in `usize`; [`SimError::UnknownNet`] for
+    /// an unknown net; [`SimError::NoConvergence`] when Newton iteration
     /// stalls, and [`SimError::SingularSystem`] when the linearised system
     /// has no usable pivot.
     pub fn run(&self, circuit: &MnaCircuit, stimulus: &Stimulus) -> Result<MnaRun, SimError> {
-        let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+        let valid = |x: f64| x.is_finite() && x > 0.0;
         if let Some(&bad) = [self.dt, self.t_end, self.dt_sample]
             .iter()
-            .find(|&&x| !positive(x))
+            .find(|&&x| !valid(x))
         {
             return Err(SimError::InvalidTimestep(bad));
         }
+        // `as usize` saturates, so a step count past `usize::MAX` must be
+        // refused here rather than sized into the traces.
+        let steps = (self.t_end / self.dt).ceil();
+        if steps >= usize::MAX as f64 {
+            return Err(SimError::InvalidTimestep(self.t_end));
+        }
+        let steps = steps as usize;
         let n_nodes = circuit.node_names.len();
 
         // Driven nets become voltage-source branches, in sorted-name order
@@ -321,10 +330,9 @@ impl MnaTransient {
             }
         }
 
-        let steps = (self.t_end / self.dt).ceil() as usize;
         let sample_every = (self.dt_sample / self.dt).round().max(1.0) as usize;
         let mut traces: Vec<Vec<f64>> = (0..n_nodes)
-            .map(|_| Vec::with_capacity(steps / sample_every + 2))
+            .map(|_| Vec::with_capacity((steps / sample_every).saturating_add(2)))
             .collect();
 
         let mut stats = SolveStats::default();
@@ -996,7 +1004,9 @@ mod tests {
 
     #[test]
     fn invalid_timestep_names_the_offending_value() {
-        let c = MnaCircuit::new();
+        // One node, so an unchecked step count fails fast sizing its trace.
+        let mut c = MnaCircuit::new();
+        c.add_resistor("A", "GND", 1e3);
         let stim = Stimulus::new();
         let err = |tr: MnaTransient| tr.run(&c, &stim).unwrap_err();
         let mut tr = MnaTransient::new(1e-9);
@@ -1009,5 +1019,20 @@ mod tests {
         let mut tr = MnaTransient::new(1e-9);
         tr.dt_sample = 0.0;
         assert_eq!(err(tr), SimError::InvalidTimestep(0.0));
+
+        // Infinities in any field, and step counts past `usize::MAX` (2e21
+        // steps of 5 ps), are rejected rather than run.
+        let inf = f64::INFINITY;
+        for (dt, t_end, dt_sample, bad) in [
+            (inf, 1e-9, 1e-11, inf),
+            (5e-12, inf, 1e-11, inf),
+            (5e-12, 1e-9, inf, inf),
+            (5e-12, inf, 5e-12, inf),
+            (5e-12, 1e10, 1e-11, 1e10),
+        ] {
+            let mut tr = MnaTransient::new(t_end);
+            (tr.dt, tr.dt_sample) = (dt, dt_sample);
+            assert_eq!(err(tr), SimError::InvalidTimestep(bad));
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use criterion::{black_box, criterion_group, Criterion};
+use hifi_bench::results::time_secs;
 use hifi_circuit::topology::SaTopologyKind;
 use hifi_dram::pipeline::{Pipeline, PipelineConfig};
 use hifi_imaging::ImagingConfig;
@@ -31,22 +31,7 @@ fn store_root() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("hifi-cold-vs-warm-{}", std::process::id()))
 }
 
-fn bench_cold_vs_warm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cold_vs_warm");
-    g.sample_size(10);
-    let root = store_root();
-    let pipeline = Pipeline::new(config().with_store(&root));
-    // Populate once so the measured warm iterations all hit.
-    let _ = std::fs::remove_dir_all(&root);
-    black_box(pipeline.run().expect("populate"));
-    g.bench_function("warm", |b| b.iter(|| pipeline.run().expect("warm run")));
-    g.finish();
-    let _ = std::fs::remove_dir_all(&root);
-}
-
 fn main() {
-    benches();
-
     let root = store_root();
     let _ = std::fs::remove_dir_all(&root);
     let baseline = Pipeline::new(config());
@@ -62,12 +47,9 @@ fn main() {
 
     // Time several warm runs and keep the fastest: disk replay is noisy
     // at the millisecond scale.
-    let mut warm_s = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        black_box(cached.run().expect("warm run"));
-        warm_s = warm_s.min(start.elapsed().as_secs_f64());
-    }
+    let warm_s = (0..3)
+        .map(|_| time_secs(&mut || cached.run().expect("warm run")))
+        .fold(f64::INFINITY, f64::min);
     let speedup = cold_s / warm_s;
 
     // The warm run replays every stage: five hits, zero misses, no writes.
@@ -104,5 +86,3 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
-
-criterion_group!(benches, bench_cold_vs_warm);

@@ -15,14 +15,14 @@
 //!    rates are zero so nothing ever fires. A disabled spec also shares
 //!    the clean cache keys, so the comparison isolates pure plumbing cost.
 //!
-//! After the Criterion group, the harness measures both paths head-to-head
-//! with the same paired-ratio methodology as `telemetry_overhead` and
-//! asserts the ≤2% budget. The headline numbers land in
-//! `BENCH_results.json` for the CI regression gate.
+//! The harness measures both paths head-to-head with the same
+//! paired-ratio methodology as `telemetry_overhead` and asserts the ≤2%
+//! budget. The headline numbers land in `BENCH_results.json` for the CI
+//! regression gate.
 
-use std::time::Instant;
+use std::hint::black_box;
 
-use criterion::{black_box, criterion_group, Criterion};
+use hifi_bench::results::{median, results_path, time_secs, BenchResults};
 use hifi_circuit::topology::SaTopologyKind;
 use hifi_dram::pipeline::{Pipeline, PipelineConfig};
 use hifi_faults::FaultSpec;
@@ -35,32 +35,7 @@ fn zero_fault_plan() -> PipelineConfig {
     no_plan().with_faults(FaultSpec::disabled())
 }
 
-fn bench_variants(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fault_overhead");
-    g.sample_size(10);
-    let without = Pipeline::new(no_plan());
-    let with = Pipeline::new(zero_fault_plan());
-    g.bench_function("no_plan", |b| b.iter(|| without.run().expect("pipeline")));
-    g.bench_function("zero_fault_plan", |b| {
-        b.iter(|| with.run().expect("pipeline"))
-    });
-    g.finish();
-}
-
-fn time_secs<T>(f: &mut impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    black_box(f());
-    start.elapsed().as_secs_f64()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    benches();
-
     // Head-to-head: adjacent pairs, alternating order, median of the
     // per-pair ratios — load drift hits both members of a pair and
     // cancels; a genuine regression shifts every ratio and moves the
@@ -88,17 +63,17 @@ fn main() {
         ratios.push(plan / base);
         base_times.push(base);
     }
-    let overhead = (median(ratios) - 1.0) * 100.0;
-    let base_ms = median(base_times) * 1e3;
+    let overhead = (median(&ratios) - 1.0) * 100.0;
+    let base_ms = median(&base_times) * 1e3;
     println!(
         "zero-fault-plan overhead (median of {PAIRS} paired ratios): {overhead:+.2}%  \
          (median no-plan {base_ms:.1} ms)"
     );
 
-    let mut results = hifi_bench::results::BenchResults::default();
+    let mut results = BenchResults::default();
     results.record("fault_overhead.zero_fault_plan_pct", overhead, "percent");
     results.record("fault_overhead.no_plan_median_ms", base_ms, "ms");
-    let path = hifi_bench::results::results_path();
+    let path = results_path();
     results.merge_into(&path).expect("record bench results");
     println!("recorded → {}", path.display());
 
@@ -107,5 +82,3 @@ fn main() {
         "zero-fault plan overhead {overhead:.2}% exceeds the {BUDGET_PCT}% budget"
     );
 }
-
-criterion_group!(benches, bench_variants);

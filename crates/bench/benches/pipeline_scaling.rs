@@ -16,10 +16,10 @@
 //! note when the host has fewer than 4 cores (the ratio would measure
 //! oversubscription, not scaling).
 
+use std::hint::black_box;
 use std::thread::available_parallelism;
 use std::time::Instant;
 
-use criterion::{black_box, criterion_group, Criterion};
 use hifi_circuit::topology::SaTopologyKind;
 use hifi_dram::pipeline::{Pipeline, PipelineConfig};
 use hifi_imaging::ImagingConfig;
@@ -37,25 +37,7 @@ fn config() -> PipelineConfig {
     PipelineConfig::with_imaging(SaTopologyKind::OffsetCancellation, imaging)
 }
 
-fn bench_thread_counts(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pipeline_scaling");
-    g.sample_size(10);
-    let pipeline = Pipeline::new(config());
-    let avail = available_parallelism().map(|n| n.get()).unwrap_or(1);
-    g.bench_function("threads_1", |b| {
-        b.iter(|| rayon::with_num_threads(1, || pipeline.run().expect("pipeline")))
-    });
-    if avail > 1 {
-        g.bench_function(format!("threads_{avail}"), |b| {
-            b.iter(|| rayon::with_num_threads(avail, || pipeline.run().expect("pipeline")))
-        });
-    }
-    g.finish();
-}
-
 fn main() {
-    benches();
-
     let pipeline = Pipeline::new(config());
     let avail = available_parallelism().map(|n| n.get()).unwrap_or(1);
     let threads = avail.min(4);
@@ -113,5 +95,3 @@ fn main() {
         );
     }
 }
-
-criterion_group!(benches, bench_thread_counts);

@@ -1,22 +1,20 @@
 //! Cost of the telemetry layer (OBS experiment).
 //!
-//! Three variants of the pristine pipeline are timed:
+//! Two variants of the pristine pipeline are timed:
 //!
 //! 1. `uninstrumented` — the stages composed directly from the public
 //!    APIs, with no recorder anywhere (what `Pipeline::run` compiled to
 //!    before the telemetry layer existed),
 //! 2. `noop_recorder` — `Pipeline::run()`, which routes through
-//!    `run_with(&mut NoopRecorder)`,
-//! 3. `json_recorder` — `Pipeline::run_instrumented()`, paying for real
-//!    event recording and report assembly.
+//!    `run_with(&mut NoopRecorder)`.
 //!
-//! After the Criterion groups, the harness measures (1) and (2) directly
-//! and prints the relative overhead; the telemetry design requires the
-//! no-op path to stay within 2% of the uninstrumented baseline.
+//! The harness measures them head-to-head and prints the relative
+//! overhead; the telemetry design requires the no-op path to stay within
+//! 2% of the uninstrumented baseline.
 
-use std::time::Instant;
+use std::hint::black_box;
 
-use criterion::{black_box, criterion_group, Criterion};
+use hifi_bench::results::{median, results_path, time_secs, BenchResults};
 use hifi_circuit::identify::TopologyLibrary;
 use hifi_circuit::topology::SaTopologyKind;
 use hifi_dram::pipeline::{Pipeline, PipelineConfig};
@@ -49,35 +47,7 @@ fn uninstrumented(cfg: &PipelineConfig) -> usize {
     extraction.devices.len()
 }
 
-fn bench_variants(c: &mut Criterion) {
-    let mut g = c.benchmark_group("telemetry");
-    g.sample_size(10);
-    let cfg = config();
-    g.bench_function("uninstrumented", |b| b.iter(|| uninstrumented(&cfg)));
-    let pipeline = Pipeline::new(config());
-    g.bench_function("noop_recorder", |b| {
-        b.iter(|| pipeline.run().expect("pipeline"))
-    });
-    g.bench_function("json_recorder", |b| {
-        b.iter(|| pipeline.run_instrumented().expect("pipeline"))
-    });
-    g.finish();
-}
-
-fn time_secs<T>(f: &mut impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    black_box(f());
-    start.elapsed().as_secs_f64()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    benches();
-
     // Head-to-head: the two variants are timed in adjacent pairs and each
     // pair yields one noop/baseline ratio. Slow load drift hits both
     // members of a pair roughly equally and cancels in the ratio;
@@ -109,17 +79,17 @@ fn main() {
         ratios.push(noop / base);
         base_times.push(base);
     }
-    let overhead = (median(ratios) - 1.0) * 100.0;
-    let base_ms = median(base_times) * 1e3;
+    let overhead = (median(&ratios) - 1.0) * 100.0;
+    let base_ms = median(&base_times) * 1e3;
     println!(
         "noop-recorder overhead (median of {PAIRS} paired ratios): {overhead:+.2}%  \
          (median uninstrumented {base_ms:.1} ms)"
     );
 
-    let mut results = hifi_bench::results::BenchResults::default();
+    let mut results = BenchResults::default();
     results.record("telemetry_overhead.noop_recorder_pct", overhead, "percent");
     results.record("telemetry_overhead.uninstrumented_median_ms", base_ms, "ms");
-    let path = hifi_bench::results::results_path();
+    let path = results_path();
     results.merge_into(&path).expect("record bench results");
     println!("recorded → {}", path.display());
 
@@ -128,5 +98,3 @@ fn main() {
         "NoopRecorder overhead {overhead:.2}% exceeds the {BUDGET_PCT}% budget"
     );
 }
-
-criterion_group!(benches, bench_variants);

@@ -1,10 +1,11 @@
 //! Benchmark regression gate.
 //!
-//! Compares `BENCH_results.json` (written by the overhead benches) against
-//! the committed `BENCH_baseline.json` and exits non-zero when any metric
+//! Compares `BENCH_results.json` (written by the benches) against the
+//! committed `BENCH_baseline.json` and exits non-zero when any metric
 //! regressed past the tolerance (default 15%, `BENCH_GATE_TOLERANCE_PCT`
-//! to override). Every baseline metric must be present in the results —
-//! a bench that silently stops reporting is a gate failure, not a pass.
+//! to override; anything but a number is an error). Every baseline
+//! metric must be present in the results — a bench that silently stops
+//! reporting is a gate failure, not a pass.
 //! Metrics in the results but not in the baseline are listed as new so
 //! the baseline can be extended deliberately.
 //!
@@ -20,10 +21,12 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let results_file = args.next().map_or_else(results_path, PathBuf::from);
     let baseline_file = args.next().map_or_else(baseline_path, PathBuf::from);
-    let tolerance_pct = std::env::var("BENCH_GATE_TOLERANCE_PCT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(15.0);
+    let tolerance = std::env::var_os("BENCH_GATE_TOLERANCE_PCT")
+        .map_or(Ok(15.0), |v| v.to_string_lossy().parse::<f64>());
+    let Ok(tolerance_pct) = tolerance else {
+        eprintln!("bench_gate: BENCH_GATE_TOLERANCE_PCT needs a number");
+        return ExitCode::FAILURE;
+    };
 
     let baseline = match BenchResults::load(&baseline_file) {
         Ok(b) => b,
@@ -36,7 +39,7 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("bench_gate: cannot load results: {e}");
-            eprintln!("bench_gate: run the overhead benches first (scripts/bench_gate.sh)");
+            eprintln!("bench_gate: run the benches first (scripts/bench_gate.sh)");
             return ExitCode::FAILURE;
         }
     };

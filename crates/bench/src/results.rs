@@ -1,8 +1,9 @@
 //! Machine-readable benchmark results for the CI regression gate.
 //!
-//! Overhead benches (`telemetry_overhead`, `fault_overhead`) record their
-//! headline numbers into `BENCH_results.json` at the workspace root; the
-//! committed `BENCH_baseline.json` pins the expected values and
+//! The benches and `record_perfbench` (perfbench's metrics, named in
+//! [`PERFBENCH_METRICS`]) record their headline numbers into
+//! `BENCH_results.json` at the workspace root; the committed
+//! `BENCH_baseline.json` pins the expected values and
 //! `scripts/bench_gate.sh` (via the `bench_gate` binary) fails CI when a
 //! metric regresses past the tolerance.
 //!
@@ -19,9 +20,11 @@
 //!   when the measured rate drops more than the tolerance below baseline.
 
 use std::fmt;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// One benchmark headline number.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -138,6 +141,83 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// Median of `xs`: the upper middle value for an even count. Panics when
+/// `xs` is empty.
+pub fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+/// Wall time of one call of `f`, in seconds.
+pub fn time_secs<T>(f: &mut impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    black_box(f());
+    start.elapsed().as_secs_f64()
+}
+
+/// The perfbench metrics behind the gate's headline numbers: (workload,
+/// metric in perfbench's result line, gate name, gate unit).
+#[rustfmt::skip]
+pub const PERFBENCH_METRICS: [(&str, &str, &str, &str); 4] = [
+    ("mna_sweep", "ops_per_s", "analog.mna.samples_per_sec", "per_sec"),
+    ("serve_mix", "ops_per_s", "serve.jobs_per_sec", "per_sec"),
+    ("serve_mix", "op_p50_ms", "serve.job_p50_ms", "ms"),
+    ("imaged_chip", "op_p50_ms", "imaged_chip.op_p50_ms", "ms"),
+];
+
+/// The fields of a perfbench result line the gate reads.
+#[derive(Deserialize)]
+struct PerfbenchLine {
+    correct: bool,
+    failed: u64,
+    metrics: Value,
+}
+
+/// Folds perfbench runs into gate metrics: the median over the runs of
+/// each [`PERFBENCH_METRICS`] entry whose workload ran. Each line of
+/// `runs` is a workload name, a space, and that run's last stdout line;
+/// a blank line is an unknown workload.
+///
+/// # Errors
+///
+/// When there is no run, or any run names an unknown workload, is not
+/// JSON, is not `correct`, has a failed op, or lacks a mapped metric or
+/// reports it non-finite.
+pub fn fold_perfbench(runs: &str) -> Result<BenchResults, String> {
+    let mut samples = vec![Vec::new(); PERFBENCH_METRICS.len()];
+    for (i, line) in runs.lines().enumerate() {
+        let at = |msg: String| format!("perfbench run on line {}: {msg}", i + 1);
+        let (workload, json) = line.split_once(' ').unwrap_or((line, ""));
+        if !PERFBENCH_METRICS.iter().any(|m| m.0 == workload) {
+            return Err(at(format!("unknown workload `{workload}`")));
+        }
+        let run: PerfbenchLine = serde_json::from_str(json).map_err(|e| at(e.to_string()))?;
+        if !run.correct || run.failed > 0 {
+            return Err(at(format!("{workload} failed {} ops", run.failed)));
+        }
+        for (&(w, metric, ..), values) in PERFBENCH_METRICS.iter().zip(&mut samples) {
+            if w == workload {
+                let value = run.metrics.field(metric).and_then(|v| v.field("value"));
+                match value.and_then(f64::from_value) {
+                    Ok(v) if v.is_finite() => values.push(v),
+                    _ => return Err(at(format!("{workload} `{metric}` missing or not finite"))),
+                }
+            }
+        }
+    }
+    let mut results = BenchResults::default();
+    for (&(_, _, name, unit), values) in PERFBENCH_METRICS.iter().zip(&samples) {
+        if !values.is_empty() {
+            results.record(name, median(values), unit);
+        }
+    }
+    if results.metrics.is_empty() {
+        return Err("no perfbench run to record".into());
+    }
+    Ok(results)
+}
+
 /// Verdict of gating one metric against its baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
@@ -178,6 +258,9 @@ impl fmt::Display for Verdict {
 /// percentage point, so a baseline of 0.2% doesn't turn measurement noise
 /// into a gate failure. `"per_sec"` rates are higher-is-better: they fail
 /// when more than `tolerance_pct` *below* baseline.
+///
+/// Every comparison is written to pass only when it holds, so a NaN
+/// value, baseline or tolerance fails the metric.
 pub fn gate_metric(baseline: &Metric, measured: Option<f64>, tolerance_pct: f64) -> Verdict {
     let Some(value) = measured else {
         return Verdict::Missing;
@@ -186,26 +269,26 @@ pub fn gate_metric(baseline: &Metric, measured: Option<f64>, tolerance_pct: f64)
     match baseline.unit.as_str() {
         "per_sec" => {
             let required = baseline.value * (1.0 - tol);
-            if value < required {
-                Verdict::TooSlow { required }
-            } else {
+            if value >= required {
                 Verdict::Ok
+            } else {
+                Verdict::TooSlow { required }
             }
         }
         "percent" => {
             let allowed = baseline.value + baseline.value.abs() * tol + 1.0;
-            if value > allowed {
-                Verdict::Regressed { allowed }
-            } else {
+            if value <= allowed {
                 Verdict::Ok
+            } else {
+                Verdict::Regressed { allowed }
             }
         }
         _ => {
             let allowed = baseline.value.max(0.0) * (1.0 + tol);
-            if value > allowed {
-                Verdict::Regressed { allowed }
-            } else {
+            if value <= allowed {
                 Verdict::Ok
+            } else {
+                Verdict::Regressed { allowed }
             }
         }
     }
@@ -341,5 +424,91 @@ mod tests {
         );
         assert_eq!(gate_metric(&rate, None, 15.0), Verdict::Missing);
         assert!(format!("{}", Verdict::TooSlow { required: 850.0 }).contains("REGRESSED"));
+    }
+
+    /// Every comparison fails closed: a NaN tolerance or value fails the
+    /// metric whatever was measured, even a value equal to the baseline.
+    #[test]
+    fn nan_tolerance_fails_every_unit() {
+        let nan = f64::NAN;
+        for unit in ["ms", "percent", "per_sec"] {
+            let base = metric("x", 10.0, unit);
+            assert_eq!(gate_metric(&base, Some(10.0), 15.0), Verdict::Ok);
+            for (value, tol) in [(10.0, nan), (0.1, nan), (1e3, nan), (nan, 15.0)] {
+                let verdict = gate_metric(&base, Some(value), tol);
+                assert_ne!(verdict, Verdict::Ok, "{unit} {value} at {tol}%");
+            }
+        }
+    }
+
+    const OK: &str = r#""correct":true,"attempted":12,"failed":0"#;
+
+    /// One run as `record_perfbench` reads it: the workload, then a result
+    /// line shaped like perfbench's, with `metrics` holding `fields`.
+    fn run(workload: &str, head: &str, fields: &str) -> String {
+        format!("{workload} {{{head},\"metrics\":{{{fields}}}}}\n")
+    }
+
+    fn good(workload: &str, ops_per_s: &str, op_p50_ms: &str) -> String {
+        let fields = format!(
+            r#""setup_s":{{"value":0.05,"unit":"s"}},"ops_per_s":{{"value":{ops_per_s},"unit":"1/s"}},"op_p50_ms":{{"value":{op_p50_ms},"unit":"ms"}}"#
+        );
+        run(workload, OK, &fields)
+    }
+
+    #[test]
+    fn perfbench_runs_fold_to_the_median_under_gate_names() {
+        // The medians sit at different run positions and off the means.
+        let mut runs = String::new();
+        for (ops_per_s, op_p50_ms) in [("73.8", "45"), ("55.7", "100"), ("60.5", "40")] {
+            for workload in ["mna_sweep", "serve_mix", "imaged_chip"] {
+                runs += &good(workload, ops_per_s, op_p50_ms);
+            }
+        }
+        let want = [
+            metric("analog.mna.samples_per_sec", 60.5, "per_sec"),
+            metric("imaged_chip.op_p50_ms", 45.0, "ms"),
+            metric("serve.job_p50_ms", 45.0, "ms"),
+            metric("serve.jobs_per_sec", 60.5, "per_sec"),
+        ];
+        assert_eq!(fold_perfbench(&runs).unwrap().metrics, want);
+    }
+
+    #[test]
+    fn bad_perfbench_runs_fail_the_fold() {
+        let fields = r#""ops_per_s":{"value":31},"op_p50_ms":{"value":45}"#;
+        let ok = run("serve_mix", OK, fields);
+        let bad = [
+            run("serve_mix", r#""correct":false,"failed":0"#, fields),
+            run("serve_mix", r#""correct":true,"failed":1"#, fields),
+            run("serve_mix", OK, r#""ops_per_s":{"value":31}"#),
+            run("mna_sweep", OK, r#""ops_per_s":{}"#),
+            run("mna_sweep", OK, r#""ops_per_s":{"value":1e999}"#),
+            run("die_stream", OK, fields),
+            run("no_such_workload", OK, fields),
+            "serve_mix correct\n".into(),
+            "{\"correct\":true}\n".into(),
+        ];
+        for bad in bad {
+            // One bad run spoils the fold wherever it appears.
+            for runs in [bad.clone(), format!("{ok}{bad}{ok}")] {
+                assert!(fold_perfbench(&runs).is_err(), "accepted:\n{runs}");
+            }
+        }
+        assert!(fold_perfbench(&ok).is_ok());
+        assert!(fold_perfbench("").is_err(), "zero runs");
+        assert!(fold_perfbench("\n").is_err(), "blank line");
+    }
+
+    /// Every perfbench metric the gate records is pinned in the committed
+    /// baseline under the same unit, so a rename fails here rather than in
+    /// the gate.
+    #[test]
+    fn committed_baseline_gates_every_perfbench_metric() {
+        let baseline = BenchResults::load(&workspace_root().join("BENCH_baseline.json")).unwrap();
+        for (_, _, name, unit) in PERFBENCH_METRICS {
+            let pinned = baseline.get(name).map(|m| m.unit.as_str());
+            assert_eq!(pinned, Some(unit), "{name} in BENCH_baseline.json");
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! load_test [--jobs N] [--distinct D] [--clients N] [--seed N]
 //!           [--workers N] [--capacity N] [--faulted [--fault-rate R]]
-//!           [--imaged] [--connect HOST:PORT] [--bench]
+//!           [--imaged] [--connect HOST:PORT]
 //! ```
 //!
 //! By default an in-process server is started on an ephemeral port with a
@@ -20,9 +20,6 @@
 //!   aliased onto an in-flight run or re-ran warm);
 //! - observable dedup — the dedup-hit counter or the shared store's hit
 //!   counter moved.
-//!
-//! `--bench` records `serve.jobs_per_sec` and `serve.queue_p99_drain_per_sec`
-//! into the benchmark results file for the CI bench gate.
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -30,7 +27,6 @@ use std::process::ExitCode;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use hifi_bench::results::{results_path, BenchResults};
 use hifi_conformance::run_seed;
 use hifi_faults::FaultSpec;
 use hifi_serve::{client, JobRequest, ServeConfig};
@@ -47,7 +43,6 @@ struct Args {
     fault_rate: f64,
     imaged: bool,
     connect: Option<SocketAddr>,
-    bench: bool,
 }
 
 impl Default for Args {
@@ -63,7 +58,6 @@ impl Default for Args {
             fault_rate: 0.25,
             imaged: false,
             connect: None,
-            bench: false,
         }
     }
 }
@@ -72,7 +66,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: load_test [--jobs N] [--distinct D] [--clients N] [--seed N]\n\
          \x20                [--workers N] [--capacity N] [--faulted [--fault-rate R]]\n\
-         \x20                [--imaged] [--connect HOST:PORT] [--bench]"
+         \x20                [--imaged] [--connect HOST:PORT]"
     );
     std::process::exit(2);
 }
@@ -106,7 +100,6 @@ fn parse_args() -> Args {
             "--connect" => {
                 parsed.connect = Some(value("--connect").parse().unwrap_or_else(|_| usage()));
             }
-            "--bench" => parsed.bench = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -344,9 +337,6 @@ fn main() -> ExitCode {
     }
 
     let jobs_per_sec = args.jobs as f64 / elapsed.as_secs_f64().max(1e-9);
-    // Drain rate implied by the p99 queue wait: how many jobs per second
-    // the queue sustains while keeping 99% of waits under p99.
-    let queue_p99_drain_per_sec = 1e6 / (p99_wait_us.max(1) as f64);
     println!(
         "load_test: {} jobs in {:.2}s = {:.1} jobs/s (p99 queue wait {:.1} ms)",
         args.jobs,
@@ -357,25 +347,6 @@ fn main() -> ExitCode {
     println!(
         "load_test: dedup_hits {dedup_hits}, store hits {store_hits}, 429-rejections {rejected}, all digests deterministic"
     );
-
-    if args.bench {
-        let path = results_path();
-        let mut results = BenchResults::default();
-        results.record("serve.jobs_per_sec", jobs_per_sec, "per_sec");
-        results.record(
-            "serve.queue_p99_drain_per_sec",
-            queue_p99_drain_per_sec,
-            "per_sec",
-        );
-        if let Err(msg) = results.merge_into(&path) {
-            eprintln!("load_test: recording bench results: {msg}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "load_test: recorded serve.* metrics into {}",
-            path.display()
-        );
-    }
 
     if let Some(server) = server {
         server.stop();

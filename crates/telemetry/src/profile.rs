@@ -253,10 +253,12 @@ impl ProfileSummary {
                     let cur_cmp = norm(s.self_us, cur_denom);
                     let allowed = share_odds(base_cmp + gate.share_slack)
                         * (1.0 + gate.tolerance_pct / 100.0);
-                    if share_odds(cur_cmp) > allowed && s.self_us >= gate.min_self_us {
-                        DiffVerdict::Regressed
-                    } else {
+                    // Fails closed: a NaN tolerance or share fails the stage.
+                    let within = share_odds(cur_cmp) <= allowed;
+                    if within || s.self_us < gate.min_self_us {
                         DiffVerdict::Ok
+                    } else {
+                        DiffVerdict::Regressed
                     }
                 }
             };
@@ -572,6 +574,16 @@ mod tests {
             ("extract", 3_000),
         ])]);
         assert!(slow.diff(&p, &ProfileGate::default()).passed());
+    }
+
+    #[test]
+    fn nan_tolerance_fails_even_identical_profiles() {
+        let p = ProfileSummary::from_event_runs(&[events_with(&[("a", 4_000), ("b", 1_000)])]);
+        let gate = ProfileGate {
+            tolerance_pct: f64::NAN,
+            ..ProfileGate::default()
+        };
+        assert_eq!(p.diff(&p, &gate).regressions(), 2);
     }
 
     #[test]

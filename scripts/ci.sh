@@ -38,6 +38,10 @@
 #                 specs, which must dedup against the shared store), then
 #                 SIGTERM and assert a clean drained shutdown
 #   bench-gate    overhead benches + full-die scale sweep (256x) +
+#                 the asserting cold_vs_warm and pipeline_scaling
+#                 benches + perfbench's mna_sweep, serve_mix and
+#                 imaged_chip (3 runs each, medians recorded; built into
+#                 target/perfbench like the test job's), then the
 #                 regression gate vs BENCH_baseline.json
 #                 (scripts/bench_gate.sh)
 #   profile-gate  quickstart under HIFI_TRACE, trace validation (parses,
