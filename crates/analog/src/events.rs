@@ -957,6 +957,68 @@ mod tests {
     }
 
     #[test]
+    fn step_control_tracks_a_ten_times_finer_run() {
+        // The error budget scales with dt², so at dt = 0.5 ps every step
+        // answers to a hundredth of the default budget. The default run must
+        // reach the same verdict and landmark order, split its latch within
+        // 50 ps of the fine run, and stay within 15 mV on every trace.
+        let fine: Engine = |tr, circuit, stimulus| {
+            let tr = MnaTransient {
+                dt: 0.5e-12,
+                ..tr.clone()
+            };
+            tr.run(circuit, stimulus)
+        };
+        let landmark_order = |r: &SenseReport| {
+            let mut marks: Vec<(f64, &str)> = [
+                (r.charge_sharing_onset, "onset"),
+                (r.latch_split_time, "split"),
+            ]
+            .into_iter()
+            .filter_map(|(t, name)| Some((t?, name)))
+            .collect();
+            marks.sort_by(|a, b| a.0.total_cmp(&b.0));
+            marks.into_iter().map(|(_, name)| name).collect::<Vec<_>>()
+        };
+        for kind in [SaTopologyKind::Classic, SaTopologyKind::OffsetCancellation] {
+            for offset_mv in [0.0, -50.0, 50.0] {
+                let cfg = ActivationConfig {
+                    nsa_vt_offset: offset_mv * 1e-3,
+                    ..ActivationConfig::default()
+                };
+                for stored in [false, true] {
+                    let case = format!("{kind} offset {offset_mv} mV stored={stored}");
+                    let [coarse, fine] = [MnaTransient::run as Engine, fine].map(|engine| {
+                        let nl = canonical_netlist(kind, cfg.dims.clone());
+                        activate(nl, &cfg, stored, engine).expect("valid testbench")
+                    });
+                    assert_eq!(
+                        (coarse.sensed_one, coarse.correct),
+                        (fine.sensed_one, fine.correct),
+                        "{case}"
+                    );
+                    assert_eq!(landmark_order(&coarse), landmark_order(&fine), "{case}");
+                    let split = |r: &SenseReport| r.latch_split_time.expect("the latch splits");
+                    let apart = (split(&coarse) - split(&fine)).abs();
+                    assert!(apart < 50.5e-12, "{case}: latch splits {apart} s apart");
+                    for net in fine.waveforms.nets() {
+                        let (a, b) = (
+                            coarse.waveforms.trace(net).expect("same nets"),
+                            fine.waveforms.trace(net).expect("traced"),
+                        );
+                        assert_eq!(a.len(), b.len(), "{case} net {net}");
+                        let worst = a
+                            .iter()
+                            .zip(b)
+                            .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
+                        assert!(worst <= 15e-3, "{case} net {net}: {worst} V apart");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_length_schedule_names_the_zero_duration() {
         let cfg = ActivationConfig {
             timings: PhaseTimings {

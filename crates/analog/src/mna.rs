@@ -15,11 +15,31 @@
 //! current update then follows from its driven node's KCL row
 //! (`Δi_B = −r_D − J_D·Δv`). That is the full system's Newton step, with
 //! the rows whose answer is known eliminated by hand. The Jacobian is
-//! analytic: its linear part (gmin, the parasitic and capacitor companions
-//! at the fixed step, resistors) is stamped once per run, and each
-//! iteration adds the MOSFETs' closed-form square-law partials
-//! ([`MosfetModel::channel_current_with_partials`]). After every step a
-//! residual-only pass audits KCL on every node row, driven rows included.
+//! analytic: its linear part `G + C/h` (gmin and resistors, plus the
+//! parasitic and capacitor companions at the step `h`) is restamped only
+//! when the step changes, and each iteration adds the MOSFETs' closed-form
+//! square-law partials ([`MosfetModel::channel_current_with_partials`]).
+//! After every accepted step a residual-only pass audits KCL on every node
+//! row, driven rows included.
+//!
+//! The step size follows the local truncation error. Newton starts each
+//! step from the straight line through the last two accepted points, and
+//! the step's error is estimated as `h/(h + h₁)·max|x − x_pred|` over the
+//! free nodes, `h₁` being the step before. A step over a budget of 1e-5 V
+//! at the default 5 ps `dt` (scaled by `(dt / 5 ps)²`) is retried smaller;
+//! every step resizes the next by `0.9·√(budget/error)`, clamped to
+//! [0.3, 2], between `dt` and 40·`dt`. A Newton failure retries the step
+//! at a quarter of its size. Every corner of a stimulus waveform, and the
+//! end of the run, is a breakpoint: a step lands on it exactly and the next
+//! restarts at `dt` with no history, so no predictor straddles a kink in
+//! the drive. Traces are interpolated linearly between accepted points onto
+//! the fixed `round(dt_sample / dt)·dt` grid.
+//!
+//! The engine stays first-order on purpose. Backward Euler never
+//! overshoots a decaying RC node, at any step size, and no linear
+//! multistep method above first order keeps that property unconditionally
+//! (Bolley–Crouzeix): a variable-step BDF2 could take fewer steps, but it
+//! can undershoot a fast RC discharge below its final value.
 //!
 //! The engine is driven by [`Stimulus`] schedules and accepts any
 //! [`hifi_circuit::Netlist`] — including netlists straight out of
@@ -205,11 +225,14 @@ impl MnaCircuit {
 /// Convergence and accuracy diagnostics for one transient run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveStats {
-    /// Timesteps solved.
+    /// Accepted timesteps.
     pub steps: usize,
-    /// Newton iterations summed over all steps.
+    /// Steps retried at a smaller size, because their error estimate
+    /// exceeded the budget or their Newton iteration failed.
+    pub rejected_steps: usize,
+    /// Newton iterations summed over every solve, rejected steps included.
     pub newton_iterations: usize,
-    /// Worst per-step Newton iteration count.
+    /// Worst Newton iteration count of an accepted step.
     pub max_newton_iterations: usize,
     /// Largest KCL residual (A) observed at any accepted solution point —
     /// the property tests pin this to essentially machine precision.
@@ -219,7 +242,7 @@ pub struct SolveStats {
 /// Result of an MNA transient: sampled waveforms plus solver diagnostics.
 #[derive(Debug, Clone)]
 pub struct MnaRun {
-    /// Recorded node voltages, sampled every `round(dt_sample / dt)` steps.
+    /// Recorded node voltages on the `round(dt_sample / dt)·dt` grid.
     pub waveforms: Waveforms,
     /// Solver diagnostics.
     pub stats: SolveStats,
@@ -228,13 +251,18 @@ pub struct MnaRun {
 /// Backward-Euler transient configuration for [`MnaCircuit`].
 #[derive(Debug, Clone)]
 pub struct MnaTransient {
-    /// Integration timestep (s). Default 5 ps; backward Euler is
-    /// unconditionally stable, and its error halves with the step.
+    /// Base timestep (s). Default 5 ps. The run takes it at the start and
+    /// after every stimulus corner, never shrinks an error-controlled step
+    /// below it, and scales the error budget with it (1e-5 V per step at
+    /// 5 ps, in proportion to `dt²`), so halving it about halves the error
+    /// of every trace: backward Euler is first-order. Steps grow to at
+    /// most 40·`dt`.
     pub dt: f64,
     /// Simulation duration (s).
     pub t_end: f64,
-    /// Requested recording interval (s). Default 10 ps. Samples land every
-    /// `round(dt_sample / dt)` steps (at least one), and
+    /// Requested recording interval (s). Default 10 ps. Samples land on a
+    /// grid of `round(dt_sample / dt)·dt` (at least `dt`), interpolated
+    /// linearly between accepted steps, and
     /// [`Waveforms::sample_interval`] reports that actual grid.
     pub dt_sample: f64,
     /// Initial voltages for floating nodes (by name); unlisted nodes start
@@ -247,6 +275,9 @@ pub struct MnaTransient {
     /// Damping clamp: the largest per-iteration voltage move allowed (V).
     pub damping_v: f64,
 }
+
+/// Samples per trace reserved up front; longer runs grow their traces.
+const TRACE_RESERVE: usize = 4096;
 
 impl MnaTransient {
     /// A transient of the given duration with workspace-default settings.
@@ -276,9 +307,22 @@ impl MnaTransient {
     /// `dt_sample` is not finite and positive, or when the step count
     /// `t_end / dt` does not fit in `usize`; [`SimError::UnknownNet`] for
     /// an unknown net; [`SimError::NoConvergence`] when Newton iteration
-    /// stalls, and [`SimError::SingularSystem`] when the linearised system
-    /// has no usable pivot.
+    /// stalls on a step of `dt` or less, and [`SimError::SingularSystem`]
+    /// when the linearised system has no usable pivot.
     pub fn run(&self, circuit: &MnaCircuit, stimulus: &Stimulus) -> Result<MnaRun, SimError> {
+        let sources = self.sources(circuit, stimulus)?;
+        let sys = NodeSystem::new(circuit, &sources);
+        self.drive(circuit, &sources, sys)
+    }
+
+    /// Validates the run against the circuit and returns its driven nets
+    /// as `(node, waveform)` source branches, in sorted-name order so the
+    /// unknown layout is deterministic.
+    fn sources<'s>(
+        &self,
+        circuit: &MnaCircuit,
+        stimulus: &'s Stimulus,
+    ) -> Result<Vec<(usize, &'s Waveform)>, SimError> {
         let valid = |x: f64| x.is_finite() && x > 0.0;
         if let Some(&bad) = [self.dt, self.t_end, self.dt_sample]
             .iter()
@@ -286,112 +330,137 @@ impl MnaTransient {
         {
             return Err(SimError::InvalidTimestep(bad));
         }
-        // `as usize` saturates, so a step count past `usize::MAX` must be
-        // refused here rather than sized into the traces.
-        let steps = (self.t_end / self.dt).ceil();
-        if steps >= usize::MAX as f64 {
+        // The sample grid counts steps of `dt`, and `as usize` saturates, so
+        // a step count past `usize::MAX` must be refused here.
+        if (self.t_end / self.dt).ceil() >= usize::MAX as f64 {
             return Err(SimError::InvalidTimestep(self.t_end));
         }
-        let steps = steps as usize;
-        let n_nodes = circuit.node_names.len();
-
-        // Driven nets become voltage-source branches, in sorted-name order
-        // so the unknown layout is deterministic.
-        let mut sources: Vec<(usize, &Waveform)> = Vec::new();
         let mut driven_names: Vec<&str> = stimulus.driven_nets().collect();
         driven_names.sort_unstable();
-        for name in driven_names {
-            let idx = circuit
-                .node_index(name)
-                .ok_or_else(|| SimError::UnknownNet(name.into()))?;
-            sources.push((idx, stimulus.waveform(name).expect("driven net")));
-        }
+        let sources = driven_names
+            .into_iter()
+            .map(|name| {
+                let idx = circuit
+                    .node_index(name)
+                    .ok_or_else(|| SimError::UnknownNet(name.into()))?;
+                Ok((idx, stimulus.waveform(name).expect("driven net")))
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
         for name in self.initial.keys() {
             if circuit.node_index(name).is_none() {
                 return Err(SimError::UnknownNet(name.clone()));
             }
         }
-        let mut sys = NodeSystem::new(
-            circuit,
-            self.dt,
-            sources.iter().map(|&(idx, _)| idx).collect(),
-        );
+        Ok(sources)
+    }
+
+    /// Integrates from the initial state to the end of the run under
+    /// [`StepControl`], solving each backward-Euler step with `sys`.
+    fn drive<S: NewtonSystem>(
+        &self,
+        circuit: &MnaCircuit,
+        sources: &[(usize, &Waveform)],
+        mut sys: S,
+    ) -> Result<MnaRun, SimError> {
+        let n_nodes = circuit.node_names.len();
+        let mut driven = vec![false; n_nodes];
+        for &(idx, _) in sources {
+            driven[idx] = true;
+        }
+        let free: Vec<usize> = (0..n_nodes).filter(|&i| !driven[i]).collect();
 
         // Unknowns: node voltages, then one current per source branch.
-        let n = n_nodes + sources.len();
-        let mut x = vec![0.0f64; n];
-        for &(idx, wf) in &sources {
+        let mut x = vec![0.0f64; n_nodes + sources.len()];
+        for &(idx, wf) in sources {
             x[idx] = wf.value(0.0);
         }
         for (name, &v) in &self.initial {
             let idx = circuit.node_index(name).expect("validated above");
-            if !sys.driven.contains(&idx) {
+            if !driven[idx] {
                 x[idx] = v;
             }
         }
 
+        // Sample `k` sits `k·sample_every` steps of `dt` into the run.
+        let steps = (self.t_end / self.dt).ceil() as usize;
         let sample_every = (self.dt_sample / self.dt).round().max(1.0) as usize;
-        let mut traces: Vec<Vec<f64>> = (0..n_nodes)
-            .map(|_| Vec::with_capacity((steps / sample_every).saturating_add(2)))
+        let n_samples = steps / sample_every + 1;
+        let sample_time = |k: usize| (k * sample_every) as f64 * self.dt;
+        let t_stop = self.t_end.max(sample_time(n_samples - 1));
+        let corners = sources.iter().flat_map(|(_, wf)| wf.corner_times());
+        let mut ctl = StepControl::new(self.dt, corners, t_stop);
+
+        let mut traces: Vec<Vec<f64>> = x[..n_nodes]
+            .iter()
+            .map(|&v| {
+                let mut trace = Vec::with_capacity(n_samples.min(TRACE_RESERVE));
+                trace.push(v);
+                trace
+            })
             .collect();
+        let mut next_sample = 1;
 
         let mut stats = SolveStats::default();
-        let mut dx = vec![0.0f64; n];
-        let mut targets = vec![0.0f64; sources.len()];
-        let mut v_prev = x[..n_nodes].to_vec();
-
-        for step in 0..=steps {
-            if step % sample_every == 0 {
-                for (trace, &v) in traces.iter_mut().zip(&x) {
-                    trace.push(v);
+        let mut dx = vec![0.0f64; x.len()];
+        // The last accepted point, and the node voltages one accepted step
+        // before it: the predictor's two points.
+        let mut accepted = x.clone();
+        let mut before = vec![0.0f64; n_nodes];
+        let mut predicted = vec![0.0f64; n_nodes];
+        // Until the run lands on its last breakpoint, its end.
+        while ctl.next < ctl.breakpoints.len() {
+            let step = ctl.propose();
+            // Newton starts from the straight line through the last two
+            // accepted points; right after a restart, from the last one.
+            x.copy_from_slice(&accepted);
+            if let Some(h1) = ctl.h1 {
+                let ratio = step.h / h1;
+                for ((p, &now), &then) in predicted.iter_mut().zip(&accepted).zip(&before) {
+                    *p = now + ratio * (now - then);
                 }
+                x[..n_nodes].copy_from_slice(&predicted);
             }
-            if step == steps {
-                break;
-            }
-            let t_next = (step + 1) as f64 * self.dt;
-            v_prev.copy_from_slice(&x[..n_nodes]);
-            for (target, &(_, wf)) in targets.iter_mut().zip(&sources) {
-                *target = wf.value(t_next);
-            }
-
-            let mut converged = false;
-            let mut worst_dv = f64::INFINITY;
-            let mut iters = 0usize;
-            while iters < self.max_newton {
-                iters += 1;
-                sys.assemble(&x, &v_prev);
-                sys.newton_step(&x, &targets, &mut dx)
-                    .ok_or(SimError::SingularSystem { time_s: t_next })?;
-                worst_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
-                let scale = if worst_dv > self.damping_v {
-                    self.damping_v / worst_dv
-                } else {
-                    1.0
-                };
-                for (xi, di) in x.iter_mut().zip(&dx) {
-                    *xi += scale * di;
+            let v_prev = &accepted[..n_nodes];
+            sys.begin_step(step.t_next, step.h);
+            let iters = match self.newton(&mut sys, &mut x, v_prev, &mut dx, step.t_next) {
+                Ok(iters) => iters,
+                Err(SimError::NoConvergence { iterations, .. }) if ctl.retry_smaller(&step) => {
+                    stats.newton_iterations += iterations;
+                    stats.rejected_steps += 1;
+                    continue;
                 }
-                if worst_dv < self.tol_v {
-                    converged = true;
-                    break;
-                }
-            }
-            if !converged {
-                return Err(SimError::NoConvergence {
-                    time_s: t_next,
-                    iterations: iters,
-                    worst_delta_v: worst_dv,
-                });
+                Err(e) => return Err(e),
+            };
+            stats.newton_iterations += iters;
+            // Backward Euler's local error is h/(h + h₁) of the predictor's
+            // miss; driven nodes follow their waveforms exactly.
+            let error = ctl.h1.map(|h1| {
+                let miss = free
+                    .iter()
+                    .fold(0.0f64, |m, &i| m.max((x[i] - predicted[i]).abs()));
+                step.h / (step.h + h1) * miss
+            });
+            if !ctl.judge(&step, error) {
+                stats.rejected_steps += 1;
+                continue;
             }
             stats.steps += 1;
-            stats.newton_iterations += iters;
             stats.max_newton_iterations = stats.max_newton_iterations.max(iters);
 
             // KCL audit at the accepted point, over every node row.
-            sys.assemble(&x, &v_prev);
-            let worst = sys.res.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+            let worst = sys.kcl_residual(&x, v_prev);
             stats.worst_kcl_residual_amps = stats.worst_kcl_residual_amps.max(worst);
+
+            // The samples this step covers, interpolated between its ends.
+            while next_sample < n_samples && sample_time(next_sample) <= step.t_next {
+                let w = (sample_time(next_sample) - step.t) / (step.t_next - step.t);
+                for ((trace, &a), &b) in traces.iter_mut().zip(&accepted).zip(&x) {
+                    trace.push(a + w * (b - a));
+                }
+                next_sample += 1;
+            }
+            before.copy_from_slice(&accepted[..n_nodes]);
+            accepted.copy_from_slice(&x);
         }
 
         Ok(MnaRun {
@@ -403,21 +472,198 @@ impl MnaTransient {
             stats,
         })
     }
+
+    /// Damped Newton iteration on one step from the guess in `x`, which it
+    /// leaves at the solution; returns the iterations taken.
+    fn newton<S: NewtonSystem>(
+        &self,
+        sys: &mut S,
+        x: &mut [f64],
+        v_prev: &[f64],
+        dx: &mut [f64],
+        t_next: f64,
+    ) -> Result<usize, SimError> {
+        let n_nodes = v_prev.len();
+        let mut worst_dv = f64::INFINITY;
+        let mut iters = 0usize;
+        while iters < self.max_newton {
+            iters += 1;
+            sys.newton_update(x, v_prev, dx)
+                .ok_or(SimError::SingularSystem { time_s: t_next })?;
+            worst_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+            let scale = if worst_dv > self.damping_v {
+                self.damping_v / worst_dv
+            } else {
+                1.0
+            };
+            for (xi, di) in x.iter_mut().zip(&*dx) {
+                *xi += scale * di;
+            }
+            if worst_dv < self.tol_v {
+                return Ok(iters);
+            }
+        }
+        Err(SimError::NoConvergence {
+            time_s: t_next,
+            iterations: iters,
+            worst_delta_v: worst_dv,
+        })
+    }
+}
+
+/// A step [`StepControl`] proposes, from `t` to `t_next`.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    t: f64,
+    t_next: f64,
+    h: f64,
+    /// Whether `t_next` is a breakpoint.
+    lands: bool,
+}
+
+/// Local-truncation-error step control (see the module docs): proposes
+/// each step, judges it by its error estimate and sizes the next, and lands
+/// the run on every breakpoint.
+#[derive(Debug, Clone)]
+struct StepControl {
+    /// Restart step, smallest error-controlled step, and scale of `budget`.
+    dt: f64,
+    /// Largest local error accepted per step (V).
+    budget: f64,
+    /// Ascending stimulus corners after t = 0, ending with the run's end.
+    breakpoints: Vec<f64>,
+    /// Index of the next breakpoint.
+    next: usize,
+    /// Time of the last accepted point.
+    t: f64,
+    /// Size of the next proposal.
+    h: f64,
+    /// The last accepted step since the last restart, which the
+    /// predictor extrapolates; `None` at a restart.
+    h1: Option<f64>,
+}
+
+impl StepControl {
+    /// Error budget per step at the default 5 ps `dt` (V).
+    const BUDGET_V: f64 = 1e-5;
+    /// Largest step, in steps of `dt`.
+    const MAX_STEP_DTS: f64 = 40.0;
+    /// Safety factor on the step the error estimate allows.
+    const SAFETY: f64 = 0.9;
+    /// Bounds on the factor by which one step resizes the next.
+    const RESIZE: (f64, f64) = (0.3, 2.0);
+
+    fn new(dt: f64, corners: impl Iterator<Item = f64>, t_stop: f64) -> Self {
+        let mut breakpoints: Vec<f64> = corners.filter(|&t| t > 0.0 && t < t_stop).collect();
+        breakpoints.push(t_stop);
+        breakpoints.sort_by(f64::total_cmp);
+        breakpoints.dedup();
+        Self {
+            dt,
+            budget: Self::BUDGET_V * (dt / 5e-12).powi(2),
+            breakpoints,
+            next: 0,
+            t: 0.0,
+            h: dt,
+            h1: None,
+        }
+    }
+
+    /// The next step: the proposal, cut to land exactly on the next
+    /// breakpoint when it would reach it, or to half the gap when it would
+    /// leave less than `dt` before it. A proposal is never stretched onto a
+    /// breakpoint: a rejected step would re-propose itself forever.
+    fn propose(&self) -> Step {
+        let bp = self.breakpoints[self.next];
+        let gap = bp - self.t;
+        let (h, lands) = if self.h >= gap {
+            (gap, true)
+        } else if gap - self.h < self.dt {
+            (0.5 * gap, false)
+        } else {
+            (self.h, false)
+        };
+        Step {
+            t: self.t,
+            t_next: if lands { bp } else { self.t + h },
+            h,
+            lands,
+        }
+    }
+
+    /// After a failed Newton solve of `step`: whether to retry it at a
+    /// quarter of its size (but no less than `dt`). A step of `dt` or less
+    /// is not retried.
+    fn retry_smaller(&mut self, step: &Step) -> bool {
+        let retry = step.h > self.dt;
+        if retry {
+            self.h = (0.25 * step.h).max(self.dt);
+        }
+        retry
+    }
+
+    /// Judges a solved `step` by its local error estimate, `None` right
+    /// after a restart, where the step is taken unjudged. Returns whether
+    /// the step is accepted, and sizes the next proposal either way.
+    fn judge(&mut self, step: &Step, error: Option<f64>) -> bool {
+        let (shrink, grow) = Self::RESIZE;
+        let factor = error.map_or(1.0, |e| {
+            (Self::SAFETY * (self.budget / e).sqrt()).clamp(shrink, grow)
+        });
+        if error.is_some_and(|e| e > self.budget) && step.h > self.dt {
+            self.h = (step.h * factor).max(self.dt);
+            return false;
+        }
+        self.t = step.t_next;
+        if step.lands {
+            // The drive's slope may change here: restart without history.
+            self.next += 1;
+            self.h = self.dt;
+            self.h1 = None;
+        } else {
+            self.h = (step.h * factor).clamp(self.dt, Self::MAX_STEP_DTS * self.dt);
+            self.h1 = Some(step.h);
+        }
+        true
+    }
+}
+
+/// One backward-Euler step's Newton system, as [`MnaTransient::drive`]
+/// solves it: the free-node [`NodeSystem`], or the tests' full-MNA
+/// reference.
+trait NewtonSystem {
+    /// Prepares the solves of a step of size `h` that ends at `t_next`.
+    fn begin_step(&mut self, t_next: f64, h: f64);
+    /// Writes the Newton update at `x` (node voltages, then branch
+    /// currents) into `dx`; `v_prev` holds the last accepted node voltages.
+    /// `None` when the linearised system has no usable pivot.
+    fn newton_update(&mut self, x: &[f64], v_prev: &[f64], dx: &mut [f64]) -> Option<()>;
+    /// The largest KCL residual (A) over every node row at `x`.
+    fn kcl_residual(&mut self, x: &[f64], v_prev: &[f64]) -> f64;
 }
 
 /// One run's Newton system over the node voltages, with the source branch
 /// rows eliminated by hand (see the module docs).
 struct NodeSystem<'a> {
     circuit: &'a MnaCircuit,
-    dt: f64,
-    /// Node count: `linear` and `jac` are row-major `n × n`.
+    /// Node count: the matrices are row-major `n × n`.
     n: usize,
     /// The node each source branch drives, in branch order.
     driven: Vec<usize>,
+    /// Each source's waveform, in branch order.
+    waveforms: Vec<&'a Waveform>,
+    /// Each source's value at the end of the current step.
+    targets: Vec<f64>,
     /// The undriven nodes in index order: the rows and columns of `block`.
     free: Vec<usize>,
-    /// The Jacobian's linear part — gmin, the parasitic and capacitor
-    /// companions at the fixed `dt`, resistors — stamped once per run.
+    /// `G`: gmin and the resistors.
+    conductance: Vec<f64>,
+    /// `C`: the parasitics and the capacitors.
+    capacitance: Vec<f64>,
+    /// The step `linear` is stamped for.
+    h: f64,
+    /// The Jacobian's linear part `G + C/h`, restamped when the step
+    /// changes.
     linear: Vec<f64>,
     /// ∂(current leaving the row's node)/∂v(the column's node) at the last
     /// assembled point.
@@ -430,33 +676,40 @@ struct NodeSystem<'a> {
 }
 
 impl<'a> NodeSystem<'a> {
-    fn new(circuit: &'a MnaCircuit, dt: f64, driven: Vec<usize>) -> Self {
+    fn new(circuit: &'a MnaCircuit, sources: &[(usize, &'a Waveform)]) -> Self {
         let n = circuit.node_names.len();
+        let driven: Vec<usize> = sources.iter().map(|&(idx, _)| idx).collect();
         let free: Vec<usize> = (0..n).filter(|i| !driven.contains(i)).collect();
-        let mut linear = vec![0.0; n * n];
-        let g_node = circuit.gmin_siemens + circuit.parasitic_f / dt;
+        let mut conductance = vec![0.0; n * n];
+        let mut capacitance = vec![0.0; n * n];
         for i in 0..n {
-            linear[i * n + i] += g_node;
+            conductance[i * n + i] += circuit.gmin_siemens;
+            capacitance[i * n + i] += circuit.parasitic_f;
         }
         for e in &circuit.elements {
-            let (a, b, g) = match *e {
-                Element::Resistor { a, b, siemens } => (a, b, siemens),
-                Element::Capacitor { a, b, farads } => (a, b, farads / dt),
+            let (a, b, v, matrix) = match *e {
+                Element::Resistor { a, b, siemens } => (a, b, siemens, &mut conductance),
+                Element::Capacitor { a, b, farads } => (a, b, farads, &mut capacitance),
                 Element::Mosfet(_) => continue,
             };
-            for (row, col, v) in [(a, a, g), (a, b, -g), (b, b, g), (b, a, -g)] {
-                linear[row * n + col] += v;
+            for (row, col, v) in [(a, a, v), (a, b, -v), (b, b, v), (b, a, -v)] {
+                matrix[row * n + col] += v;
             }
         }
         Self {
             circuit,
-            dt,
             n,
+            waveforms: sources.iter().map(|&(_, wf)| wf).collect(),
+            targets: vec![0.0; driven.len()],
             driven,
             block: MnaSystem::new(free.len()),
             free,
-            jac: linear.clone(),
-            linear,
+            conductance,
+            capacitance,
+            // No step yet: the first `begin_step` stamps `linear`.
+            h: 0.0,
+            linear: vec![0.0; n * n],
+            jac: vec![0.0; n * n],
             res: vec![0.0; n],
         }
     }
@@ -465,10 +718,10 @@ impl<'a> NodeSystem<'a> {
     /// currents); `v_prev` holds the node voltages of the last accepted
     /// step.
     fn assemble(&mut self, x: &[f64], v_prev: &[f64]) {
-        let (n, circuit, dt) = (self.n, self.circuit, self.dt);
+        let (n, circuit, h) = (self.n, self.circuit, self.h);
         let (res, jac) = (&mut self.res, &mut self.jac);
         jac.copy_from_slice(&self.linear);
-        let geq_par = circuit.parasitic_f / dt;
+        let geq_par = circuit.parasitic_f / h;
         for (i, r) in res.iter_mut().enumerate() {
             *r = circuit.gmin_siemens * x[i] + geq_par * (x[i] - v_prev[i]);
         }
@@ -480,7 +733,7 @@ impl<'a> NodeSystem<'a> {
                     res[*b] -= i;
                 }
                 Element::Capacitor { a, b, farads } => {
-                    let geq = farads / dt;
+                    let geq = farads / h;
                     let i = geq * ((x[*a] - x[*b]) - (v_prev[*a] - v_prev[*b]));
                     res[*a] += i;
                     res[*b] -= i;
@@ -505,15 +758,29 @@ impl<'a> NodeSystem<'a> {
             res[d] += x[n + k];
         }
     }
+}
 
-    /// Solves the Newton step at the last assembled point into `dx` (node
-    /// voltages, then branch currents), each source branch pinning its
-    /// node to its `targets` entry. `None` when the free-node block has no
-    /// usable pivot.
-    fn newton_step(&mut self, x: &[f64], targets: &[f64], dx: &mut [f64]) -> Option<()> {
+impl NewtonSystem for NodeSystem<'_> {
+    fn begin_step(&mut self, t_next: f64, h: f64) {
+        if h != self.h {
+            self.h = h;
+            let stamps = self.conductance.iter().zip(&self.capacitance);
+            for (l, (g, c)) in self.linear.iter_mut().zip(stamps) {
+                *l = g + c / h;
+            }
+        }
+        for (target, wf) in self.targets.iter_mut().zip(&self.waveforms) {
+            *target = wf.value(t_next);
+        }
+    }
+
+    /// Assembles at `x` and solves the Newton step, each source branch
+    /// pinning its node to its target.
+    fn newton_update(&mut self, x: &[f64], v_prev: &[f64], dx: &mut [f64]) -> Option<()> {
+        self.assemble(x, v_prev);
         let n = self.n;
         // Branch rows: v_D + Δv_D = wf(t).
-        for (&d, &target) in self.driven.iter().zip(targets) {
+        for (&d, &target) in self.driven.iter().zip(&self.targets) {
             dx[d] = target - x[d];
         }
         // Free rows: J_FF·Δv_F = −r_F − J_FD·Δv_D.
@@ -543,18 +810,23 @@ impl<'a> NodeSystem<'a> {
         }
         Some(())
     }
+
+    fn kcl_residual(&mut self, x: &[f64], v_prev: &[f64]) -> f64 {
+        self.assemble(x, v_prev);
+        self.res.iter().fold(0.0f64, |m, r| m.max(r.abs()))
+    }
 }
 
 /// The full-MNA engine this module's free-node solve replaced, kept as the
 /// reference the reduced engine is tested against: every node voltage and
 /// every source branch current is an unknown of one dense system, and the
-/// MOSFET Jacobian comes from central finite differences.
+/// MOSFET Jacobian comes from central finite differences. It runs under the
+/// engine's own step control.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{Element, MnaCircuit, MnaRun, MnaTransient, SolveStats};
-    use crate::sim::{SimError, Stimulus, Waveform, Waveforms};
+    use super::{Element, MnaCircuit, MnaRun, MnaTransient, NewtonSystem};
+    use crate::sim::{SimError, Stimulus, Waveform};
     use crate::stamp::MnaSystem;
-    use std::collections::HashMap;
 
     /// Perturbation used for the numerical MOSFET partial derivatives (V).
     const DERIV_STEP_V: f64 = 1e-6;
@@ -579,144 +851,70 @@ pub(crate) mod reference {
         circuit: &MnaCircuit,
         stimulus: &Stimulus,
     ) -> Result<MnaRun, SimError> {
-        let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        if let Some(&bad) = [tr.dt, tr.t_end, tr.dt_sample]
-            .iter()
-            .find(|&&x| !positive(x))
-        {
-            return Err(SimError::InvalidTimestep(bad));
-        }
-        let n_nodes = circuit.node_names.len();
-
-        let mut sources: Vec<(usize, &Waveform)> = Vec::new();
-        let mut driven_names: Vec<&str> = stimulus.driven_nets().collect();
-        driven_names.sort_unstable();
-        for name in driven_names {
-            let idx = circuit
-                .node_index(name)
-                .ok_or_else(|| SimError::UnknownNet(name.into()))?;
-            sources.push((idx, stimulus.waveform(name).expect("driven net")));
-        }
-        for name in tr.initial.keys() {
-            if circuit.node_index(name).is_none() {
-                return Err(SimError::UnknownNet(name.clone()));
-            }
-        }
-        let driven: Vec<bool> = {
-            let mut d = vec![false; n_nodes];
-            for &(idx, _) in &sources {
-                d[idx] = true;
-            }
-            d
+        let sources = tr.sources(circuit, stimulus)?;
+        let n = circuit.node_names.len() + sources.len();
+        let full = FullSystem {
+            circuit,
+            sources: &sources,
+            sys: MnaSystem::new(n),
+            residual: vec![0.0; n],
+            t_next: 0.0,
+            h: 0.0,
         };
-
-        let n = n_nodes + sources.len();
-        let mut x = vec![0.0f64; n];
-        for (k, &(idx, wf)) in sources.iter().enumerate() {
-            x[idx] = wf.value(0.0);
-            x[n_nodes + k] = 0.0;
-        }
-        for (name, &v) in &tr.initial {
-            let idx = circuit.node_index(name).expect("validated above");
-            if !driven[idx] {
-                x[idx] = v;
-            }
-        }
-
-        let steps = (tr.t_end / tr.dt).ceil() as usize;
-        let sample_every = (tr.dt_sample / tr.dt).round().max(1.0) as usize;
-        let mut traces: HashMap<String, Vec<f64>> = circuit
-            .node_names
-            .iter()
-            .map(|nm| (nm.clone(), Vec::with_capacity(steps / sample_every + 2)))
-            .collect();
-
-        let mut stats = SolveStats::default();
-        let mut sys = MnaSystem::new(n);
-        let mut residual = vec![0.0f64; n];
-        let mut v_prev = x[..n_nodes].to_vec();
-
-        for step in 0..=steps {
-            if step % sample_every == 0 {
-                for (i, nm) in circuit.node_names.iter().enumerate() {
-                    traces.get_mut(nm).expect("trace").push(x[i]);
-                }
-            }
-            if step == steps {
-                break;
-            }
-            let t_next = (step + 1) as f64 * tr.dt;
-            v_prev.copy_from_slice(&x[..n_nodes]);
-
-            let mut converged = false;
-            let mut worst_dv = f64::INFINITY;
-            let mut iters = 0usize;
-            while iters < tr.max_newton {
-                iters += 1;
-                assemble(tr, circuit, &sources, &v_prev, &x, t_next, &mut sys, None);
-                let Some(dx) = sys.solve() else {
-                    return Err(SimError::SingularSystem { time_s: t_next });
-                };
-                worst_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
-                let scale = if worst_dv > tr.damping_v {
-                    tr.damping_v / worst_dv
-                } else {
-                    1.0
-                };
-                for (xi, di) in x.iter_mut().zip(dx) {
-                    *xi += scale * di;
-                }
-                if worst_dv < tr.tol_v {
-                    converged = true;
-                    break;
-                }
-            }
-            if !converged {
-                return Err(SimError::NoConvergence {
-                    time_s: t_next,
-                    iterations: iters,
-                    worst_delta_v: worst_dv,
-                });
-            }
-            stats.steps += 1;
-            stats.newton_iterations += iters;
-            stats.max_newton_iterations = stats.max_newton_iterations.max(iters);
-
-            // KCL audit at the accepted point: residual-only pass.
-            assemble(
-                tr,
-                circuit,
-                &sources,
-                &v_prev,
-                &x,
-                t_next,
-                &mut sys,
-                Some(&mut residual),
-            );
-            let worst = residual[..n_nodes]
-                .iter()
-                .fold(0.0f64, |m, r| m.max(r.abs()));
-            stats.worst_kcl_residual_amps = stats.worst_kcl_residual_amps.max(worst);
-        }
-
-        Ok(MnaRun {
-            waveforms: Waveforms {
-                dt_sample: sample_every as f64 * tr.dt,
-                traces,
-            },
-            stats,
-        })
+        tr.drive(circuit, &sources, full)
     }
 
-    /// Assembles the Newton system at the guess `x`: Jacobian into the
-    /// matrix and `−residual` into the right-hand side, so `solve()` yields
-    /// the update `Δx`. With `residual_out` set, only the residual vector is
-    /// produced (used for the post-convergence KCL audit).
+    /// The whole MNA system of one step.
+    struct FullSystem<'a, 's> {
+        circuit: &'a MnaCircuit,
+        sources: &'a [(usize, &'s Waveform)],
+        sys: MnaSystem,
+        residual: Vec<f64>,
+        t_next: f64,
+        h: f64,
+    }
+
+    impl NewtonSystem for FullSystem<'_, '_> {
+        fn begin_step(&mut self, t_next: f64, h: f64) {
+            (self.t_next, self.h) = (t_next, h);
+        }
+
+        fn newton_update(&mut self, x: &[f64], v_prev: &[f64], dx: &mut [f64]) -> Option<()> {
+            let (circuit, sources, h, t_next) = (self.circuit, self.sources, self.h, self.t_next);
+            assemble(circuit, sources, h, v_prev, x, t_next, &mut self.sys, None);
+            dx.copy_from_slice(self.sys.solve()?);
+            Some(())
+        }
+
+        fn kcl_residual(&mut self, x: &[f64], v_prev: &[f64]) -> f64 {
+            let (circuit, sources, h, t_next) = (self.circuit, self.sources, self.h, self.t_next);
+            let residual = Some(&mut self.residual);
+            assemble(
+                circuit,
+                sources,
+                h,
+                v_prev,
+                x,
+                t_next,
+                &mut self.sys,
+                residual,
+            );
+            self.residual[..v_prev.len()]
+                .iter()
+                .fold(0.0f64, |m, r| m.max(r.abs()))
+        }
+    }
+
+    /// Assembles the Newton system of a step of size `h` ending at
+    /// `t_next`, at the guess `x`: Jacobian into the matrix and `−residual`
+    /// into the right-hand side, so `solve()` yields the update `Δx`. With
+    /// `residual_out` set, only the residual vector is produced (used for
+    /// the post-convergence KCL audit).
     #[allow(clippy::too_many_arguments)]
     fn assemble(
-        tr: &MnaTransient,
         circuit: &MnaCircuit,
         sources: &[(usize, &Waveform)],
+        h: f64,
         v_prev: &[f64],
         x: &[f64],
         t_next: f64,
@@ -740,7 +938,7 @@ pub(crate) mod reference {
             };
         }
 
-        let geq_par = circuit.parasitic_f / tr.dt;
+        let geq_par = circuit.parasitic_f / h;
         for i in 0..n_nodes {
             let g = circuit.gmin_siemens + geq_par;
             if jacobian {
@@ -762,7 +960,7 @@ pub(crate) mod reference {
                     leave!(*b, -i);
                 }
                 Element::Capacitor { a, b, farads } => {
-                    let geq = farads / tr.dt;
+                    let geq = farads / h;
                     if jacobian {
                         add_conductance(sys, *a, *b, geq);
                     }
@@ -776,7 +974,7 @@ pub(crate) mod reference {
                     leave!(m.drain, i_ds);
                     leave!(m.source, -i_ds);
                     if jacobian {
-                        let h = DERIV_STEP_V;
+                        let dv = DERIV_STEP_V;
                         let di = |vg2: f64, vs2: f64, vd2: f64| {
                             (m.model.channel_current(vg2, vs2, vd2)
                                 - m.model.channel_current(
@@ -784,13 +982,13 @@ pub(crate) mod reference {
                                     2.0 * vs - vs2,
                                     2.0 * vd - vd2,
                                 ))
-                                / (2.0 * h)
+                                / (2.0 * dv)
                         };
                         let (d, s, g) = (m.drain, m.source, m.gate);
                         for (col, dgdv) in [
-                            (g, di(vg + h, vs, vd)),
-                            (s, di(vg, vs + h, vd)),
-                            (d, di(vg, vs, vd + h)),
+                            (g, di(vg + dv, vs, vd)),
+                            (s, di(vg, vs + dv, vd)),
+                            (d, di(vg, vs, vd + dv)),
                         ] {
                             add(sys, d, col, dgdv);
                             add(sys, s, col, -dgdv);
@@ -823,6 +1021,132 @@ mod tests {
 
     fn dims(w_over_l: f64) -> TransistorDims {
         TransistorDims::new(Nanometers(100.0 * w_over_l), Nanometers(100.0))
+    }
+
+    /// The engine's Newton system, noting the end time and size of every
+    /// accepted step: the KCL audit runs once per accepted step.
+    struct Recorded<'a, 'r> {
+        inner: NodeSystem<'a>,
+        step: (f64, f64),
+        accepted: &'r mut Vec<(f64, f64)>,
+    }
+
+    impl NewtonSystem for Recorded<'_, '_> {
+        fn begin_step(&mut self, t_next: f64, h: f64) {
+            self.step = (t_next, h);
+            self.inner.begin_step(t_next, h);
+        }
+
+        fn newton_update(&mut self, x: &[f64], v_prev: &[f64], dx: &mut [f64]) -> Option<()> {
+            self.inner.newton_update(x, v_prev, dx)
+        }
+
+        fn kcl_residual(&mut self, x: &[f64], v_prev: &[f64]) -> f64 {
+            self.accepted.push(self.step);
+            self.inner.kcl_residual(x, v_prev)
+        }
+    }
+
+    /// `(end time, size)` of every step `tr` accepts.
+    fn accepted_steps(tr: &MnaTransient, circuit: &MnaCircuit, stim: &Stimulus) -> Vec<(f64, f64)> {
+        let sources = tr.sources(circuit, stim).expect("valid run");
+        let mut accepted = Vec::new();
+        let sys = Recorded {
+            inner: NodeSystem::new(circuit, &sources),
+            step: (0.0, 0.0),
+            accepted: &mut accepted,
+        };
+        tr.drive(circuit, &sources, sys).expect("run converges");
+        accepted
+    }
+
+    #[test]
+    fn every_stimulus_corner_is_an_accepted_step_time() {
+        // A wordline ramp shares a cell's charge onto a bitline while a
+        // second drive steps through corners 3 ps apart (less than `dt`),
+        // corners off any multiple of `dt`, and one corner past the end.
+        let mut nl = Netlist::new("corners");
+        let bl = nl.add_net("BL");
+        let sn = nl.add_net("SN");
+        let gnd = nl.add_net("GND");
+        let wl = nl.add_net("WL");
+        let drive = nl.add_net("D");
+        nl.add_capacitor("cbl", Femtofarads(180.0), bl, gnd);
+        nl.add_capacitor("cs", Femtofarads(20.0), sn, gnd);
+        nl.add_capacitor("cd", Femtofarads(5.0), drive, bl);
+        nl.add_mosfet(
+            "acc",
+            Polarity::Nmos,
+            TransistorClass::Access,
+            dims(2.0),
+            wl,
+            sn,
+            bl,
+        );
+        let circuit = MnaCircuit::from_netlist(&nl);
+        let mut stim = Stimulus::new();
+        stim.hold("GND", Volts(0.0));
+        stim.ramp("WL", 1e-9, 1.5e-9, 0.0, 2.4);
+        let d_corners = [0.7e-9, 0.703e-9, 2.0001e-9, 2.5e-9 + 1.7e-12, 3.25e-9, 9e-9];
+        let levels = [0.0, 0.3, 0.1, 0.6, 0.2, 0.0];
+        stim.pwl("D", d_corners.into_iter().zip(levels).collect());
+        let tr = MnaTransient::new(5e-9)
+            .with_initial("BL", Volts(0.55))
+            .with_initial("SN", Volts(1.1));
+        let accepted = accepted_steps(&tr, &circuit, &stim);
+
+        let times: Vec<f64> = accepted.iter().map(|&(t, _)| t).collect();
+        assert!(times.windows(2).all(|w| w[0] < w[1]), "time moves forward");
+        assert_eq!(times.last(), Some(&5e-9), "the run ends on t_end");
+        for corner in [1e-9, 1.5e-9].into_iter().chain(d_corners) {
+            if corner < 5e-9 {
+                assert!(times.contains(&corner), "no step lands on {corner}");
+            }
+        }
+        let min_h = accepted
+            .iter()
+            .map(|&(_, h)| h)
+            .fold(f64::INFINITY, f64::min);
+        assert!(min_h > 0.0, "smallest step {min_h}");
+    }
+
+    #[test]
+    fn a_run_with_no_corners_grows_its_step_to_the_cap() {
+        // A held charge on a capacitor changes only through gmin: the
+        // error estimate stays far under budget and each step doubles the
+        // last, up to 40·dt.
+        let mut circuit = MnaCircuit::new();
+        circuit.add_capacitor("A", "GND", Femtofarads(50.0));
+        let mut stim = Stimulus::new();
+        stim.hold("GND", Volts(0.0));
+        let tr = MnaTransient::new(20e-9).with_initial("A", Volts(1.0));
+        let accepted = accepted_steps(&tr, &circuit, &stim);
+        let cap = 40.0 * tr.dt;
+        let largest = accepted.iter().map(|&(_, h)| h).fold(0.0, f64::max);
+        assert_eq!(largest, cap);
+        // 20 ns is about 100 steps at the cap, plus the climb to it.
+        assert!(accepted.len() < 120, "{} steps", accepted.len());
+    }
+
+    #[test]
+    fn a_huge_run_fails_its_first_step_instead_of_reserving_every_sample() {
+        // 5e6 s is 1e18 steps of 5 ps: the traces were once reserved for
+        // 5e17 samples up front, which aborted the process. With Newton
+        // capped at zero iterations the first step must fail as an error.
+        let mut c = MnaCircuit::new();
+        c.add_resistor("A", "GND", 1e3);
+        let tr = MnaTransient {
+            max_newton: 0,
+            ..MnaTransient::new(5e6)
+        };
+        assert_eq!(
+            tr.run(&c, &Stimulus::new()).unwrap_err(),
+            SimError::NoConvergence {
+                time_s: 5e-12,
+                iterations: 0,
+                worst_delta_v: f64::INFINITY,
+            }
+        );
     }
 
     #[test]

@@ -114,12 +114,14 @@ pub struct McReport {
 }
 
 impl McReport {
-    /// Records the sweep into a telemetry [`Recorder`]: sample/failure
-    /// counters, the yield gauge, and per-sample histograms of Newton
-    /// iteration counts and latch split times.
+    /// Records the sweep into a telemetry [`Recorder`]: sample, failure and
+    /// accepted/rejected step counters, the yield gauge, and per-sample
+    /// histograms of Newton iteration counts and latch split times.
     pub fn record_to<R: Recorder + ?Sized>(&self, rec: &mut R) {
         rec.counter(names::MNA_SAMPLES, self.samples.len() as u64);
         rec.counter(names::MNA_FAILURES, self.failures as u64);
+        rec.counter(names::MNA_STEPS, self.solve.steps as u64);
+        rec.counter(names::MNA_REJECTED_STEPS, self.solve.rejected_steps as u64);
         rec.gauge(names::MNA_YIELD_PCT, self.yield_fraction * 100.0);
         for s in &self.samples {
             rec.histogram(
@@ -137,6 +139,7 @@ impl McReport {
 /// worst-case fields.
 fn accumulate(total: &mut SolveStats, run: &SolveStats) {
     total.steps += run.steps;
+    total.rejected_steps += run.rejected_steps;
     total.newton_iterations += run.newton_iterations;
     total.max_newton_iterations = total.max_newton_iterations.max(run.max_newton_iterations);
     total.worst_kcl_residual_amps = total
@@ -269,18 +272,29 @@ mod tests {
     fn report_solve_stats_total_every_activation() {
         let cfg = small_cfg(SaTopologyKind::Classic, 40.0);
         let rep = run_sweep(&cfg);
-        // The engine takes fixed steps, so every activation takes as many
-        // as this one.
-        let steps = try_simulate(cfg.topology, &cfg.base, true)
-            .expect("valid testbench")
-            .solve_stats
-            .expect("MNA stats")
-            .steps;
-        assert!(steps > 0);
-        assert_eq!(rep.solve.steps, 2 * cfg.samples * steps);
+        // Step counts vary with the sample, so the report's totals must be
+        // the sums of the samples', each of which covers two activations.
+        assert!(rep.samples.iter().all(|s| s.solve.steps > 0));
+        let total = |field: fn(&SolveStats) -> usize| -> usize {
+            rep.samples.iter().map(|s| field(&s.solve)).sum()
+        };
+        assert_eq!(rep.solve.steps, total(|s| s.steps));
+        assert_eq!(rep.solve.rejected_steps, total(|s| s.rejected_steps));
+        assert_eq!(rep.solve.newton_iterations, total(|s| s.newton_iterations));
         assert!(rep.solve.newton_iterations >= rep.solve.steps);
-        let per_sample: usize = rep.samples.iter().map(|s| s.solve.newton_iterations).sum();
-        assert_eq!(rep.solve.newton_iterations, per_sample);
+    }
+
+    #[test]
+    fn step_counters_equal_the_report_totals() {
+        let rep = run_sweep(&small_cfg(SaTopologyKind::OffsetCancellation, 40.0));
+        assert!(rep.solve.rejected_steps > 0, "{:?}", rep.solve);
+        let mut rec = JsonRecorder::new();
+        rep.record_to(&mut rec);
+        assert_eq!(rec.counter_total(names::MNA_STEPS), rep.solve.steps as u64);
+        assert_eq!(
+            rec.counter_total(names::MNA_REJECTED_STEPS),
+            rep.solve.rejected_steps as u64
+        );
     }
 
     #[test]

@@ -91,6 +91,12 @@ impl Waveform {
         }
     }
 
+    /// The times of the waveform's points: the only places its slope can
+    /// change.
+    pub(crate) fn corner_times(&self) -> impl Iterator<Item = f64> + '_ {
+        self.points.iter().map(|p| p.0)
+    }
+
     /// Linear interpolation; clamps before the first and after the last point.
     pub fn value(&self, t: f64) -> f64 {
         match self.points.len() {

@@ -148,6 +148,12 @@ pub mod names {
     pub const MNA_SAMPLES: &str = "analog.mna.samples";
     /// Counter: Monte-Carlo samples in which a stored value mis-sensed.
     pub const MNA_FAILURES: &str = "analog.mna.failures";
+    /// Counter: timesteps the MNA engine accepted across a Monte-Carlo
+    /// sweep.
+    pub const MNA_STEPS: &str = "analog.mna.steps";
+    /// Counter: MNA timesteps retried smaller across a Monte-Carlo sweep,
+    /// after an error estimate over budget or a failed Newton solve.
+    pub const MNA_REJECTED_STEPS: &str = "analog.mna.rejected_steps";
     /// Gauge: sensing yield of an MNA Monte-Carlo sweep, percent.
     pub const MNA_YIELD_PCT: &str = "analog.mna.yield_pct";
     /// Histogram: worst per-step Newton iteration count per MC sample.

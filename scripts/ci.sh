@@ -9,8 +9,9 @@
 # Jobs:
 #   lint          cargo fmt --check + clippy -D warnings + rustdoc -D warnings
 #   test          every workspace crate's tests at 1 thread, the tier-1
-#                 (root package) suite at available_parallelism, then the
-#                 perfbench/ package's build and tests
+#                 (root package) suite at available_parallelism, the
+#                 vendored tiny_http's tests, then the perfbench/
+#                 package's build and tests
 #   regen-drift   regen snapshot drift + artifact-store cold/warm/gc round
 #                 trip (scripts/check.sh --drift-only)
 #   fault-matrix  tests/fault_recovery.rs under fault seeds; honours
@@ -26,9 +27,10 @@
 #                 default 2-seed matrix
 #   mna-oracle    MNA waveform oracle (bin mna_oracle): activation
 #                 schedules + extracted-netlist verdicts + a reduced
-#                 Monte-Carlo sweep; honours HIFI_MNA_SEED (one seed, as
-#                 the CI matrix does) and HIFI_MNA_SAMPLES, else sweeps
-#                 the default 2-seed matrix
+#                 Monte-Carlo sweep, each seed at 1 and at 2 threads with
+#                 the two JSON reports compared byte for byte; honours
+#                 HIFI_MNA_SEED (one seed, as the CI matrix does) and
+#                 HIFI_MNA_SAMPLES, else sweeps the default 2-seed matrix
 #   scale-smoke   16x-scale streaming sweep (scale_sweep bench capped via
 #                 SCALE_SWEEP_MAX=16) under the counting allocator; proves
 #                 the slab-streaming path's O(slab) peak memory without
@@ -108,6 +110,10 @@ job_test() {
     else
         echo "==> tier-1 tests @ available_parallelism: skipped (1 core)"
     fi
+    # The vendored HTTP server parses untrusted bytes; its own tests (line
+    # and header limits, malformed requests) are not workspace members.
+    echo "==> vendored tiny_http tests"
+    cargo test -q --offline --locked -p tiny_http
     # perfbench/ is its own package outside the workspace; build and test
     # it here so an API change that breaks the benchmark fails CI. Its
     # build goes under target/ so the CI target/ cache covers it.
@@ -174,10 +180,16 @@ job_mna_oracle() {
     cargo build --release --offline --locked --bin mna_oracle
     mkdir -p "$ARTIFACT_DIR"
     for seed in "${seeds[@]}"; do
-        echo "==> MNA waveform oracle @ seed ${seed} (${MNA_SAMPLES} MC samples)"
-        cargo run --release --offline --locked --bin mna_oracle -- \
-            --seed "$seed" --samples "$MNA_SAMPLES" \
-            > "$ARTIFACT_DIR/mna_oracle_seed_${seed}.json"
+        local report="$ARTIFACT_DIR/mna_oracle_seed_${seed}"
+        for threads in 1 2; do
+            echo "==> MNA waveform oracle @ seed ${seed} (${MNA_SAMPLES} MC samples, ${threads} thread(s))"
+            cargo run --release --offline --locked --bin mna_oracle -- \
+                --seed "$seed" --samples "$MNA_SAMPLES" --threads "$threads" \
+                > "${report}_threads_${threads}.json"
+        done
+        # `--threads` changes wall time, never bytes.
+        echo "==> mna_oracle report @ seed ${seed}: 1 thread vs 2 threads"
+        cmp "${report}_threads_1.json" "${report}_threads_2.json"
     done
 }
 

@@ -203,11 +203,12 @@ fn run_oracle(seed: u64, samples: usize, sigma_mv: f64) -> OracleReport {
 fn verdict_detail(r: &hifi_dram::analog::events::SenseReport) -> String {
     let solve = r.solve_stats.unwrap_or_default();
     format!(
-        "sensed {} ({} restored to {:.3} V); {} steps, worst KCL residual {:.2e} A",
+        "sensed {} ({} restored to {:.3} V); {} steps, {} rejected, worst KCL residual {:.2e} A",
         if r.sensed_one { "1" } else { "0" },
         r.topology,
         r.restored_level,
         solve.steps,
+        solve.rejected_steps,
         solve.worst_kcl_residual_amps
     )
 }
