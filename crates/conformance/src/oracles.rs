@@ -173,9 +173,9 @@ pub fn judge_with(spec: &ChipSpec, tol: &Tolerance, tamper: Option<&Tamper>) -> 
 /// [`judge_with`] with an optional artifact store root: every pipeline
 /// sub-run caches its stages there, so re-running a campaign (or shrinking
 /// a failure, which re-judges many nearby specs) replays warm stages
-/// bit-identically instead of recomputing them. The store's in-process
-/// manifest writes are not thread-safe, so store-backed judging must not
-/// run concurrently (see `run_campaign`).
+/// bit-identically instead of recomputing them. The store takes no locks,
+/// so store-backed judging runs concurrently like any other (see
+/// `run_campaign`).
 pub fn judge_in(
     spec: &ChipSpec,
     tol: &Tolerance,

@@ -124,12 +124,6 @@ pub struct PipelineConfig {
     /// neither is set. Cached stages are replayed bit-identically, so a
     /// warm run's report matches a store-less run's.
     pub store: Option<PathBuf>,
-    /// An already-open artifact store shared across runs; takes precedence
-    /// over [`Self::store`] and the environment. Long-running callers (the
-    /// job server's worker pipelines) open the store once and hand every
-    /// run the same handle, skipping the per-run `open` (shard directory
-    /// creation) entirely.
-    pub store_handle: Option<Arc<ArtifactStore>>,
     /// Fault-injection plan for this run; `None` runs the clean pipeline.
     /// With a plan whose every fault is recoverable under [`Self::retry`]
     /// (`retry.max_retries >= faults.max_consecutive`), outputs are
@@ -152,7 +146,6 @@ impl PipelineConfig {
             align_window: 4,
             window_pair: 0,
             store: None,
-            store_handle: None,
             faults: None,
             retry: RetryPolicy::default(),
         }
@@ -161,13 +154,6 @@ impl PipelineConfig {
     /// Enables the artifact store rooted at `path` for this pipeline.
     pub fn with_store(mut self, path: impl Into<PathBuf>) -> Self {
         self.store = Some(path.into());
-        self
-    }
-
-    /// Reuses an already-open artifact store for this pipeline (builder
-    /// style). See [`Self::store_handle`].
-    pub fn with_store_handle(mut self, store: Arc<ArtifactStore>) -> Self {
-        self.store_handle = Some(store);
         self
     }
 
@@ -339,7 +325,7 @@ impl Pipeline {
         if cfg.faults.as_ref().is_some_and(FaultSpec::is_enabled) {
             label.push_str("+faults");
         }
-        if cfg.store_handle.is_some() || self.store_root().is_some() {
+        if self.store_root().is_some() {
             label.push_str("+store");
         }
         label
@@ -366,8 +352,8 @@ impl Pipeline {
         }
     }
 
-    /// The store root a run without a shared handle opens: the config's
-    /// path, else the `HIFI_STORE` environment variable.
+    /// The store root a run opens: the config's path, else the
+    /// `HIFI_STORE` environment variable.
     fn store_root(&self) -> Option<PathBuf> {
         self.config.store.clone().or_else(|| {
             std::env::var_os("HIFI_STORE")
@@ -376,22 +362,17 @@ impl Pipeline {
         })
     }
 
-    /// Resolves the artifact store for this run: a shared handle if the
-    /// caller provided one, else [`Self::store_root`], else caching off.
-    /// The run's fault plan (if any) is attached so store I/O participates
-    /// in injection.
+    /// Opens the artifact store at [`Self::store_root`], or returns `None`
+    /// (caching off) when there is none. The run's fault plan (if any) is
+    /// attached so store I/O participates in injection.
     fn resolve_store(
         &self,
         plan: Option<&Arc<FaultPlan>>,
     ) -> Result<Option<ArtifactStore>, PipelineError> {
-        // A shared handle is cloned cheaply (PathBuf + Arcs) and then gets
-        // this run's plan: fault salting stays per-run even though the
-        // underlying store directory is shared.
-        let store = match (&self.config.store_handle, self.store_root()) {
-            (Some(handle), _) => (**handle).clone(),
-            (None, Some(root)) => ArtifactStore::open(root)?,
-            (None, None) => return Ok(None),
+        let Some(root) = self.store_root() else {
+            return Ok(None);
         };
+        let store = ArtifactStore::open(root)?;
         Ok(Some(match plan {
             Some(plan) => store.with_fault_plan(plan.clone()),
             None => store,
@@ -1072,37 +1053,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_handle_serves_the_same_cache_as_a_store_path() {
-        let root = std::env::temp_dir().join(format!("hifi-handle-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let misses = |cfg: PipelineConfig| {
-            let report = Pipeline::new(cfg).run_instrumented().unwrap();
-            let t = report.telemetry.expect("telemetry");
-            (t.counter(names::STORE_HIT), t.counter(names::STORE_MISS))
-        };
-        // Cold-populate through a shared handle, then replay warm both
-        // through the same handle and through the path-based config: one
-        // cache, three views.
-        let handle = Arc::new(ArtifactStore::open(&root).expect("open store"));
-        let via_handle =
-            PipelineConfig::pristine(SaTopologyKind::Classic).with_store_handle(handle.clone());
-        assert_eq!(misses(via_handle.clone()), (0, 2), "cold via handle");
-        assert_eq!(misses(via_handle), (2, 0), "warm via handle");
-        assert_eq!(
-            misses(PipelineConfig::pristine(SaTopologyKind::Classic).with_store(&root)),
-            (2, 0),
-            "warm via path: handle and path address the same store"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn trace_label_marks_runs_on_a_shared_store_handle() {
+    fn trace_label_marks_runs_on_a_store() {
         let root = std::env::temp_dir().join(format!("hifi-label-{}", std::process::id()));
-        let handle = Arc::new(ArtifactStore::open(&root).expect("open store"));
-        let cfg = PipelineConfig::pristine(SaTopologyKind::Classic).with_store_handle(handle);
+        let cfg = PipelineConfig::pristine(SaTopologyKind::Classic).with_store(&root);
         assert_eq!(Pipeline::new(cfg).trace_label(), "classic+store");
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// What an instrumented run leaves in its trace: the top-level span
@@ -1220,9 +1174,19 @@ mod tests {
             "voxel accuracy {accuracy}"
         );
         assert!(drift >= 0.0);
-        assert_eq!(
-            telemetry.counter("align.slices"),
-            report.alignment_corrections.len() as u64
-        );
+        let slices = report.alignment_corrections.len() as u64;
+        assert_eq!(telemetry.counter("align.slices"), slices);
+        // Lane histograms are named `<span>_us` at run time; pin those
+        // names to the constants: one sample per slice, and none for the
+        // first slice, which is the alignment reference.
+        let samples = |name: &str| telemetry.histogram(name).map(|h| h.count);
+        for name in [
+            names::HIST_ACQUIRE_SLICE_US,
+            names::HIST_RENDER_SLICE_US,
+            names::HIST_DENOISE_SLICE_US,
+        ] {
+            assert_eq!(samples(name), Some(slices), "{name}");
+        }
+        assert_eq!(samples(names::HIST_ALIGN_SLICE_US), Some(slices - 1));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Long-running daemon that accepts analysis jobs over a small HTTP/JSON
 //! API and executes them on a pool of worker pipelines sharing one
-//! sharded [`ArtifactStore`](hifi_store::ArtifactStore):
+//! [`ArtifactStore`](hifi_store::ArtifactStore) root:
 //!
 //! - **Bounded priority queue** — submissions carry a `0..=9` priority;
 //!   when the queue is full the server answers `429` with a `Retry-After`

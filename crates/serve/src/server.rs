@@ -5,8 +5,8 @@
 //!
 //! One acceptor thread owns the listening socket and serves the JSON API;
 //! `workers` pipeline threads claim jobs off a [`BoundedQueue`] and run
-//! them through [`Pipeline::run_instrumented`] against a single shared
-//! [`ArtifactStore`] handle (every worker sees every other worker's cached
+//! them through [`Pipeline::run_instrumented`] against one shared
+//! [`ArtifactStore`] root (every worker sees every other worker's cached
 //! stage artifacts, which is what makes cross-tenant dedup pay off).
 //!
 //! # Dedup
@@ -56,7 +56,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Queue bound; submissions beyond it get `429 Too Many Requests`.
     pub capacity: usize,
-    /// Root of the shared sharded artifact store.
+    /// Root of the shared artifact store.
     pub store_root: PathBuf,
     /// Fault plan applied to every job (enabled plans also salt the job
     /// cache keys, exactly like pipeline stage keys).
@@ -165,7 +165,6 @@ impl Registry {
 
 struct State {
     cfg: ServeConfig,
-    store: Arc<ArtifactStore>,
     queue: BoundedQueue,
     registry: Mutex<Registry>,
     wait_hist: Mutex<Histogram>,
@@ -226,15 +225,15 @@ impl Drop for RunningServer {
     }
 }
 
-/// Opens the store, binds the listen socket and spawns the acceptor and
-/// worker threads.
+/// Opens the store (so a bad root fails here, not in every job), binds the
+/// listen socket and spawns the acceptor and worker threads.
 ///
 /// # Errors
 ///
 /// Returns a rendered message when the store cannot be opened or the
 /// address cannot be bound.
 pub fn start(cfg: ServeConfig) -> Result<RunningServer, String> {
-    let store = ArtifactStore::open(&cfg.store_root).map_err(|e| {
+    ArtifactStore::open(&cfg.store_root).map_err(|e| {
         format!(
             "cannot open artifact store at {}: {e}",
             cfg.store_root.display()
@@ -248,7 +247,6 @@ pub fn start(cfg: ServeConfig) -> Result<RunningServer, String> {
     let state = Arc::new(State {
         queue: BoundedQueue::new(cfg.capacity),
         cfg,
-        store: Arc::new(store),
         registry: Mutex::new(Registry::default()),
         wait_hist: Mutex::new(Histogram::new()),
         depth_hist: Mutex::new(Histogram::new()),
@@ -622,9 +620,7 @@ fn execute(state: &State, id: u64) {
     };
 
     let spec = request.spec();
-    let mut config = spec
-        .pipeline_config()
-        .with_store_handle(state.store.clone());
+    let mut config = spec.pipeline_config().with_store(&state.cfg.store_root);
     if let Some(plan) = &state.cfg.faults {
         config = config.with_faults(plan.clone());
     }

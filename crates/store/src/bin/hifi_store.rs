@@ -2,16 +2,12 @@
 //! store directory.
 //!
 //! ```text
-//! hifi-store stats  <root>              object count and total bytes,
-//!                                       plus a per-shard breakdown
+//! hifi-store stats  <root>              object count and total bytes
 //! hifi-store verify <root>              re-checksum every object
-//! hifi-store gc     <root> <max-bytes>  evict LRU objects over the budget,
-//!                                       locking one shard at a time
+//! hifi-store gc     <root> <max-bytes>  evict LRU objects over the budget
 //! ```
 //!
-//! `stats` keeps its `objects N` / `bytes N` lines first (scripts parse
-//! them); the sharded breakdown follows as `shard <s> objects N bytes N`
-//! lines, one per non-empty shard.
+//! `stats` prints `objects N` / `bytes N` lines (scripts parse them).
 
 use std::process::ExitCode;
 
@@ -39,17 +35,9 @@ fn main() -> ExitCode {
     };
     match cmd {
         "stats" => {
-            let by_shard = store.usage_by_shard();
-            let objects: usize = by_shard.iter().map(|s| s.objects).sum();
-            let bytes: u64 = by_shard.iter().map(|s| s.bytes).sum();
+            let (objects, bytes) = store.usage();
             println!("objects {objects}");
             println!("bytes {bytes}");
-            for s in by_shard.iter().filter(|s| s.objects > 0) {
-                println!(
-                    "shard {:x} objects {} bytes {}",
-                    s.shard, s.objects, s.bytes
-                );
-            }
             ExitCode::SUCCESS
         }
         "verify" => match store.verify() {

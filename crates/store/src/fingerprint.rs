@@ -37,7 +37,7 @@ pub struct Key {
 }
 
 impl Key {
-    /// Rebuilds a key from its two halves (manifest parsing).
+    /// Rebuilds a key from its two halves.
     pub fn from_parts(hi: u64, lo: u64) -> Self {
         Self { hi, lo }
     }

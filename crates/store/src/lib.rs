@@ -15,12 +15,10 @@
 //! - [`codec`] gives the large intermediates compact, fully-validating
 //!   binary encodings (chunked RLE for voxel volumes, raw IEEE-754 bit
 //!   patterns for image stacks) whose round trips are bit-identical.
-//! - [`store`] is the on-disk half: `objects/<shard>/<key>` blobs with
-//!   self-checking headers, sharded by leading key nibble with a per-shard
-//!   manifest and lock file so concurrent pipelines contend per shard
-//!   instead of on one global lock, LRU eviction (`gc`) with globally
-//!   comparable ticks, and corruption handling that turns damaged blobs
-//!   into cache misses rather than errors.
+//! - [`store`] is the on-disk half: one flat directory of `objects/<key>`
+//!   blobs with self-checking headers and nothing else. A blob's mtime is
+//!   its recency for LRU eviction (`gc`), and corruption handling turns
+//!   damaged blobs into cache misses rather than errors.
 //!
 //! Caching is **opt-in** (a store path on the pipeline config, or the
 //! `HIFI_STORE` environment variable) and **bit-transparent**: a warm run
@@ -36,7 +34,7 @@ pub use codec::CodecError;
 pub use fingerprint::{
     fault_fingerprint, imaging_fingerprint, spec_fingerprint, stage, Fingerprinter, Key,
 };
-pub use store::{ArtifactStore, ShardUsage, StoreError, SHARD_COUNT};
+pub use store::{ArtifactStore, StoreError};
 
 /// Process-wide store activity counters.
 ///

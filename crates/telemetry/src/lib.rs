@@ -100,7 +100,7 @@ pub mod names {
     pub const HIST_ACQUIRE_SLICE_US: &str = "acquire.slice_us";
     /// Histogram: per-slice ideal-render wall time, µs.
     pub const HIST_RENDER_SLICE_US: &str = "render.slice_us";
-    /// Histogram: per-chunk TV-denoise wall time, µs.
+    /// Histogram: per-slice TV-denoise wall time, µs.
     pub const HIST_DENOISE_SLICE_US: &str = "denoise.slice_us";
     /// Histogram: per-slice alignment registration wall time, µs.
     pub const HIST_ALIGN_SLICE_US: &str = "align.slice_us";

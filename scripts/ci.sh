@@ -10,7 +10,8 @@
 #   lint          cargo fmt --check + clippy -D warnings + rustdoc -D warnings
 #   test          every workspace crate's tests at 1 thread, the tier-1
 #                 (root package) suite at available_parallelism, the
-#                 vendored tiny_http's tests, then the perfbench/
+#                 vendored crates' own tests (tiny_http, rayon, fnv,
+#                 proptest, rand, serde, serde_json), then the perfbench/
 #                 package's build and tests
 #   regen-drift   regen snapshot drift + artifact-store cold/warm/gc round
 #                 trip (scripts/check.sh --drift-only)
@@ -110,10 +111,12 @@ job_test() {
     else
         echo "==> tier-1 tests @ available_parallelism: skipped (1 core)"
     fi
-    # The vendored HTTP server parses untrusted bytes; its own tests (line
-    # and header limits, malformed requests) are not workspace members.
-    echo "==> vendored tiny_http tests"
+    # The vendored crates are not workspace members, so `--workspace`
+    # skips their own tests: the HTTP parser's line and header limits,
+    # rayon's ordering and thread-count tests, and the rest.
+    echo "==> vendored crates' tests"
     cargo test -q --offline --locked -p tiny_http
+    cargo test -q --offline --locked -p rayon -p fnv -p proptest -p rand -p serde -p serde_json
     # perfbench/ is its own package outside the workspace; build and test
     # it here so an API change that breaks the benchmark fails CI. Its
     # build goes under target/ so the CI target/ cache covers it.

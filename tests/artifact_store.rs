@@ -88,30 +88,23 @@ fn corrupted_blobs_are_recomputed_not_fatal() {
     let pipeline = Pipeline::new(imaged_config(&root));
     let cold = pipeline.run_instrumented().expect("cold run");
 
-    // Objects live in per-nibble shard directories under objects/; corrupt
-    // every blob (32-hex file names) across all shards.
-    let objects = root.join("objects");
+    // Every blob (a 32-hex file name) sits directly under objects/.
     let mut corrupted = 0;
-    for shard in fs::read_dir(&objects).expect("objects dir") {
-        let shard = shard.expect("shard entry").path();
-        if !shard.is_dir() {
+    for entry in fs::read_dir(root.join("objects")).expect("objects dir") {
+        let path = entry.expect("entry").path();
+        let is_blob = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(hifi_store::Key::from_hex)
+            .is_some();
+        if !is_blob {
             continue;
         }
-        for entry in fs::read_dir(&shard).expect("shard dir") {
-            let path = entry.expect("entry").path();
-            let is_blob = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.len() == 32 && n.bytes().all(|b| b.is_ascii_hexdigit()));
-            if !is_blob {
-                continue; // per-shard manifest, lock files
-            }
-            let mut raw = fs::read(&path).expect("read blob");
-            let last = raw.len() - 1;
-            raw[last] ^= 0x5a; // flip payload bits; the header checksum catches it
-            fs::write(&path, raw).expect("rewrite blob");
-            corrupted += 1;
-        }
+        let mut raw = fs::read(&path).expect("read blob");
+        let last = raw.len() - 1;
+        raw[last] ^= 0x5a; // flip payload bits; the header checksum catches it
+        fs::write(&path, raw).expect("rewrite blob");
+        corrupted += 1;
     }
     assert_eq!(corrupted, 5, "one blob per cached stage");
 

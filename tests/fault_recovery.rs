@@ -76,28 +76,22 @@ fn assert_reports_identical(base: &PipelineReport, report: &PipelineReport, what
 /// the damage on the next read, evicts, and the pipeline recomputes).
 fn corrupt_every_blob(root: &Path) -> usize {
     let mut corrupted = 0;
-    // Blobs (32-hex file names) live in per-nibble shard directories under
-    // objects/, next to per-shard manifests and lock files.
-    for shard in fs::read_dir(root.join("objects")).expect("objects dir") {
-        let shard = shard.expect("shard entry").path();
-        if !shard.is_dir() {
+    // Blobs (32-hex file names) sit directly under objects/.
+    for entry in fs::read_dir(root.join("objects")).expect("objects dir") {
+        let path = entry.expect("entry").path();
+        let is_blob = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(hifi_store::Key::from_hex)
+            .is_some();
+        if !is_blob {
             continue;
         }
-        for entry in fs::read_dir(&shard).expect("shard dir") {
-            let path = entry.expect("entry").path();
-            let is_blob = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.len() == 32 && n.bytes().all(|b| b.is_ascii_hexdigit()));
-            if !is_blob {
-                continue;
-            }
-            let mut raw = fs::read(&path).expect("read blob");
-            let last = raw.len() - 1;
-            raw[last] ^= 0x5a;
-            fs::write(&path, raw).expect("rewrite blob");
-            corrupted += 1;
-        }
+        let mut raw = fs::read(&path).expect("read blob");
+        let last = raw.len() - 1;
+        raw[last] ^= 0x5a;
+        fs::write(&path, raw).expect("rewrite blob");
+        corrupted += 1;
     }
     corrupted
 }
