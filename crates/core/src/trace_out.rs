@@ -16,9 +16,9 @@
 //!
 //! The sink is process-global and append-only, capped at [`MAX_RUNS`]
 //! runs (a campaign of hundreds of conformance runs would otherwise grow
-//! the trace without bound); runs beyond the cap are counted but not
-//! recorded. Writes are best-effort: a full disk degrades observability,
-//! never the pipeline result.
+//! the trace without bound); runs beyond the cap are dropped. Writes are
+//! best-effort: a full disk degrades observability, never the pipeline
+//! result.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};

@@ -1,48 +1,14 @@
 //! Appendix-B overhead formulas, Table II and Fig. 14.
 
-use crate::papers::{papers, OverheadFormula, Paper};
-use hifi_circuit::TransistorClass;
+use crate::papers::{papers, Paper};
+use crate::sensitivity::{overhead_under, OverheadAssumptions};
 use hifi_data::{chips, Chip, ChipName, DdrGeneration, Vendor};
 use hifi_units::Ratio;
 
 /// `P_chip`: a paper's realistic extra area on one chip, as a fraction of the
 /// chip area (`P_chip = P_extra / Chip_area`, Appendix B).
 pub fn paper_overhead_on_chip(paper: &Paper, chip: &Chip) -> Ratio {
-    let g = chip.geometry();
-    let die = g.die_area.to_square_nanometers().value();
-    let mats = g.n_mats as f64;
-    let sa_w = g.mat_width().value(); // SA width = MAT width (Fig. 10)
-    let mat_total = g.total_mat_area().value();
-    let sa_total = g.total_sa_area().value();
-    let iso_ls = chip.isolation_dims_for_overheads().length.value();
-    let eff = |class: TransistorClass| {
-        chip.transistor(class)
-            .map(|t| t.effective.width.value())
-            .unwrap_or(0.0)
-    };
-    let san_ws = eff(TransistorClass::NSa);
-    let sap_ws = eff(TransistorClass::PSa);
-    let col_ws = eff(TransistorClass::Column);
-
-    let p_extra = match paper.formula {
-        OverheadFormula::DoubleBitlines => mat_total + sa_total,
-        OverheadFormula::Rega => {
-            if chip.vendor() == Vendor::A {
-                // Appendix A: on A4-5 the new connections fit on M2, so only
-                // isolation transistors and the downsized SAs are added.
-                mats * sa_w * (2.0 * iso_ls + 8.0 * (san_ws + sap_ws) / 6.0)
-            } else {
-                (mat_total + sa_total) / 3.0
-            }
-        }
-        OverheadFormula::IsolationOnly => mats * sa_w * 2.0 * iso_ls,
-        OverheadFormula::IsolationColumnsSa => {
-            mats * sa_w * (2.0 * iso_ls + 2.0 * col_ws + 8.0 * (san_ws + sap_ws))
-        }
-        OverheadFormula::CharmAspect => mats * sa_w * g.sa_region_height.value() / 4.0 + 0.01 * die,
-        OverheadFormula::PfDram => mats * sa_w * (4.0 * iso_ls + 8.0 * (san_ws + sap_ws)),
-    };
-    Ratio(p_extra / die)
+    overhead_under(paper, chip, OverheadAssumptions::default())
 }
 
 /// Overhead error (Table II): the average of `P_chip/P_oe − 1` over the

@@ -6,6 +6,9 @@
 //! buffering unboundedly. Within the bound, jobs pop highest-priority
 //! first and FIFO within a priority level (a monotone sequence number
 //! breaks ties, so equal-priority jobs can never starve each other).
+//! Workers block in [`BoundedQueue::pop`] until a job arrives or
+//! [`BoundedQueue::close`] ends the queue, and jobs admitted before the
+//! close are still handed out.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -69,9 +72,13 @@ impl PartialOrd for Entry {
     }
 }
 
+/// Why taking the queue lock can fail.
+const POISONED: &str = "a thread panicked while holding the queue lock";
+
 struct Inner {
     heap: BinaryHeap<Entry>,
     next_seq: u64,
+    closed: bool,
 }
 
 /// Bounded, blocking priority queue of job ids.
@@ -89,6 +96,7 @@ impl BoundedQueue {
             inner: Mutex::new(Inner {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
+                closed: false,
             }),
             ready: Condvar::new(),
         }
@@ -101,7 +109,7 @@ impl BoundedQueue {
 
     /// Jobs currently waiting (excludes jobs already claimed by workers).
     pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().heap.len()
+        self.inner.lock().expect(POISONED).heap.len()
     }
 
     /// Admits a job; returns the queue depth *after* admission.
@@ -111,7 +119,7 @@ impl BoundedQueue {
     /// [`QueueFull`] when the queue already holds `capacity` jobs.
     pub fn push(&self, job_id: u64, priority: u8) -> Result<usize, QueueFull> {
         let depth = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = self.inner.lock().expect(POISONED);
             if inner.heap.len() >= self.capacity {
                 return Err(QueueFull {
                     capacity: self.capacity,
@@ -131,33 +139,34 @@ impl BoundedQueue {
         Ok(depth)
     }
 
-    /// Claims the highest-priority job, blocking up to `timeout` for one
-    /// to arrive. Returns `None` on timeout with the queue still empty.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<Popped> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(entry) = inner.heap.pop() {
-                return Some(Popped {
-                    job_id: entry.job_id,
-                    priority: entry.priority,
-                    waited: entry.enqueued.elapsed(),
-                });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timeout_result) = self.ready.wait_timeout(inner, deadline - now).unwrap();
-            inner = guard;
-        }
+    /// Claims the highest-priority job, blocking until one arrives.
+    /// Returns `None` only once the queue is closed and empty.
+    pub fn pop(&self) -> Option<Popped> {
+        let guard = self.inner.lock().expect(POISONED);
+        let mut inner = self
+            .ready
+            .wait_while(guard, |inner| inner.heap.is_empty() && !inner.closed)
+            .expect(POISONED);
+        let entry = inner.heap.pop()?;
+        Some(Popped {
+            job_id: entry.job_id,
+            priority: entry.priority,
+            waited: entry.enqueued.elapsed(),
+        })
+    }
+
+    /// Closes the queue and wakes every blocked [`pop`](Self::pop): jobs
+    /// already waiting are still handed out, then `pop` returns `None`.
+    pub fn close(&self) {
+        self.inner.lock().expect(POISONED).closed = true;
+        self.ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::sync::Arc;
 
     #[test]
     fn pops_highest_priority_first_fifo_within_a_level() {
@@ -166,9 +175,7 @@ mod tests {
         q.push(2, 5).unwrap();
         q.push(3, 5).unwrap();
         q.push(4, 9).unwrap();
-        let order: Vec<u64> = (0..4)
-            .map(|_| q.pop_timeout(Duration::from_millis(10)).unwrap().job_id)
-            .collect();
+        let order: Vec<u64> = (0..4).map(|_| q.pop().unwrap().job_id).collect();
         assert_eq!(order, vec![4, 2, 3, 1]);
     }
 
@@ -179,23 +186,38 @@ mod tests {
         assert_eq!(q.push(2, 0).unwrap(), 2);
         assert_eq!(q.push(3, 0), Err(QueueFull { capacity: 2 }));
         // Draining one slot re-opens admission.
-        q.pop_timeout(Duration::from_millis(10)).unwrap();
+        q.pop().unwrap();
         assert!(q.push(3, 0).is_ok());
     }
 
     #[test]
-    fn pop_timeout_returns_none_when_empty() {
+    fn close_wakes_an_idle_pop_and_still_hands_out_admitted_jobs() {
+        let q = Arc::new(BoundedQueue::new(2));
+        let idle = {
+            let q = q.clone();
+            std::thread::spawn(move || q.pop())
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        assert!(
+            idle.join().unwrap().is_none(),
+            "close must wake an idle pop"
+        );
+
         let q = BoundedQueue::new(2);
-        let start = Instant::now();
-        assert!(q.pop_timeout(Duration::from_millis(20)).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(20));
+        q.push(1, 0).unwrap();
+        q.push(2, 0).unwrap();
+        q.close();
+        assert_eq!(q.pop().map(|p| p.job_id), Some(1));
+        assert_eq!(q.pop().map(|p| p.job_id), Some(2));
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn blocked_pop_wakes_on_push() {
-        let q = std::sync::Arc::new(BoundedQueue::new(2));
+        let q = Arc::new(BoundedQueue::new(2));
         let q2 = q.clone();
-        let handle = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(5)));
+        let handle = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.push(42, 1).unwrap();
         let popped = handle.join().unwrap().expect("push should wake the pop");

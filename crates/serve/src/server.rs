@@ -20,9 +20,12 @@
 //!
 //! # Shutdown
 //!
-//! Raising the shutdown flag stops the acceptor; workers keep draining
-//! already-admitted jobs until the queue is empty, then exit — accepted
-//! work is never dropped.
+//! Nothing polls: the acceptor blocks in [`Server::recv`] and the workers
+//! in [`BoundedQueue::pop`]. Shutdown raises a flag and calls
+//! [`Server::unblock`], which wakes the acceptor once; after the acceptor
+//! has exited, nothing more is admitted, so the queue is closed then and
+//! the workers drain every admitted job before they exit. Accepted work
+//! is never dropped.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -30,7 +33,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hifi_dram::pipeline::{Pipeline, PipelineReport};
 use hifi_faults::FaultSpec;
@@ -41,10 +44,6 @@ use tiny_http::{Header, Request, Response, Server};
 
 use crate::job::{JobRequest, JobStatus};
 use crate::queue::BoundedQueue;
-
-/// How long blocking waits (acceptor recv, worker pop) last before
-/// re-checking the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -178,7 +177,7 @@ struct State {
 ///
 /// [`stop`]: RunningServer::stop
 pub struct RunningServer {
-    addr: SocketAddr,
+    server: Arc<Server>,
     state: Arc<State>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -187,13 +186,15 @@ pub struct RunningServer {
 impl RunningServer {
     /// The bound listen address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.server_addr()
     }
 
-    /// Raises the shutdown flag without blocking: the acceptor exits,
-    /// workers finish draining already-admitted jobs.
+    /// Raises the shutdown flag and wakes the acceptor, which exits once
+    /// it has answered the request it may be reading; workers keep
+    /// draining until [`stop`](Self::stop) or drop closes the queue.
     pub fn request_shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
+        self.server.unblock();
     }
 
     /// Whether shutdown has been requested (by signal bridge, `stop`, or
@@ -202,17 +203,20 @@ impl RunningServer {
         self.state.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Graceful stop: request shutdown, then join the acceptor and all
-    /// workers (which drain the queue first).
+    /// Graceful stop: request shutdown, join the acceptor, then close the
+    /// queue and join the workers, which drain it first.
     pub fn stop(mut self) {
         self.join_all();
     }
 
     fn join_all(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
         self.request_shutdown();
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
+        let _ = acceptor.join();
+        // The acceptor admits nothing more, so closing now drops no job.
+        self.state.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -239,9 +243,9 @@ pub fn start(cfg: ServeConfig) -> Result<RunningServer, String> {
             cfg.store_root.display()
         )
     })?;
-    let server =
-        Server::http(cfg.addr.as_str()).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
-    let addr = server.server_addr();
+    let server = Arc::new(
+        Server::http(cfg.addr.as_str()).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?,
+    );
 
     let workers = cfg.workers.max(1);
     let state = Arc::new(State {
@@ -255,7 +259,7 @@ pub fn start(cfg: ServeConfig) -> Result<RunningServer, String> {
     });
 
     let acceptor = {
-        let state = state.clone();
+        let (server, state) = (server.clone(), state.clone());
         std::thread::Builder::new()
             .name("serve-http".into())
             .spawn(move || acceptor_loop(&server, &state))
@@ -272,7 +276,7 @@ pub fn start(cfg: ServeConfig) -> Result<RunningServer, String> {
         .collect::<Result<Vec<_>, _>>()?;
 
     Ok(RunningServer {
-        addr,
+        server,
         state,
         acceptor: Some(acceptor),
         workers: worker_handles,
@@ -280,32 +284,18 @@ pub fn start(cfg: ServeConfig) -> Result<RunningServer, String> {
 }
 
 fn acceptor_loop(server: &Server, state: &State) {
-    loop {
-        if let Ok(Some(request)) = server.recv_timeout(POLL_INTERVAL) {
+    while !state.shutdown.load(Ordering::SeqCst) {
+        if let Ok(request) = server.recv() {
             handle_request(state, request);
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
         }
     }
 }
 
 fn worker_loop(state: &State) {
-    loop {
-        match state.queue.pop_timeout(POLL_INTERVAL) {
-            Some(popped) => {
-                let waited_us = u64::try_from(popped.waited.as_micros()).unwrap_or(u64::MAX);
-                state.wait_hist.lock().unwrap().record(waited_us);
-                execute(state, popped.job_id);
-            }
-            // Keep draining after shutdown: exit only once the queue is
-            // empty, so every admitted job completes.
-            None => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
+    while let Some(popped) = state.queue.pop() {
+        let waited_us = u64::try_from(popped.waited.as_micros()).unwrap_or(u64::MAX);
+        state.wait_hist.lock().unwrap().record(waited_us);
+        execute(state, popped.job_id);
     }
 }
 
@@ -677,7 +667,10 @@ fn execute(state: &State, id: u64) {
 mod tests {
     use super::*;
     use crate::client;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
     use std::path::PathBuf;
+    use std::time::Duration;
 
     fn temp_root(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!("hifi-serve-{}-{tag}", std::process::id()));
@@ -858,6 +851,43 @@ mod tests {
             );
         }
         reopen.stop();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_job_admitted_while_shutting_down_still_runs() {
+        let root = temp_root("late-admit");
+        let server = start(ServeConfig::new(&root).with_workers(1)).expect("start");
+        let body = JobRequest {
+            spec_seed: 7,
+            priority: 5,
+            pristine: true,
+        }
+        .to_json();
+        // The acceptor is reading this request when shutdown begins.
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let head = format!(
+            "POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("send head");
+        std::thread::sleep(Duration::from_millis(100));
+        server.request_shutdown();
+        // The body arrives while `stop` below is already waiting on the
+        // acceptor, and long after an idle worker could have left.
+        let client = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(300));
+            stream.write_all(body.as_bytes()).expect("send body");
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("read response");
+            response
+        });
+        server.stop();
+        let response = client.join().expect("client thread");
+        assert!(response.starts_with("HTTP/1.1 202"), "{response}");
+
+        let (objects, _) = ArtifactStore::open(&root).expect("reopen store").usage();
+        assert!(objects > 0, "the admitted job never ran");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -489,10 +489,10 @@ pub fn decode_processed(buf: &[u8]) -> Result<(ImageStack, Vec<(i32, i32)>), Cod
 }
 
 // ---------------------------------------------------------------------------
-// Netlist, Extraction, MeasurementReport
+// Extraction: netlist, device metadata, MeasurementReport
 // ---------------------------------------------------------------------------
 
-const NETLIST_MAGIC: &[u8; 4] = b"HNET";
+const EXTRACTION_MAGIC: &[u8; 4] = b"HEXT";
 
 fn class_byte(c: TransistorClass) -> u8 {
     TransistorClass::ALL
@@ -613,27 +613,6 @@ fn read_netlist(r: &mut Reader<'_>) -> Result<Netlist, CodecError> {
     Ok(nl)
 }
 
-/// Encodes a bare netlist (nets by id order, then devices in id order).
-pub fn encode_netlist(nl: &Netlist) -> Vec<u8> {
-    let mut w = Writer::magic(NETLIST_MAGIC);
-    write_netlist(&mut w, nl);
-    w.into_bytes()
-}
-
-/// Decodes [`encode_netlist`] output.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on structural damage (see [`decode_volume`]).
-pub fn decode_netlist(buf: &[u8]) -> Result<Netlist, CodecError> {
-    let mut r = Reader::new(buf, "netlist", NETLIST_MAGIC)?;
-    let nl = read_netlist(&mut r)?;
-    r.finish("netlist trailing bytes")?;
-    Ok(nl)
-}
-
-const EXTRACTION_MAGIC: &[u8; 4] = b"HEXT";
-
 fn write_measurement(w: &mut Writer, m: &MeasurementReport) {
     w.u32(m.classes.len() as u32);
     for c in &m.classes {
@@ -688,27 +667,6 @@ fn read_measurement(r: &mut Reader<'_>) -> Result<MeasurementReport, CodecError>
             score,
         },
     })
-}
-
-const MEASUREMENT_MAGIC: &[u8; 4] = b"HMEA";
-
-/// Encodes a stand-alone measurement report.
-pub fn encode_measurement(m: &MeasurementReport) -> Vec<u8> {
-    let mut w = Writer::magic(MEASUREMENT_MAGIC);
-    write_measurement(&mut w, m);
-    w.into_bytes()
-}
-
-/// Decodes [`encode_measurement`] output.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on structural damage (see [`decode_volume`]).
-pub fn decode_measurement(buf: &[u8]) -> Result<MeasurementReport, CodecError> {
-    let mut r = Reader::new(buf, "measurement report", MEASUREMENT_MAGIC)?;
-    let m = read_measurement(&mut r)?;
-    r.finish("measurement trailing bytes")?;
-    Ok(m)
 }
 
 /// Encodes the extraction stage's full result: netlist, per-device
@@ -854,18 +812,38 @@ mod tests {
         assert!(p.is_empty() && c.is_empty());
     }
 
+    /// Round-trips a netlist through the extraction blob, the one artifact
+    /// that carries netlists, with no device metadata or measurements.
+    fn netlist_round_trip(netlist: &Netlist) -> Netlist {
+        let ex = Extraction {
+            netlist: netlist.clone(),
+            devices: Vec::new(),
+            nx: 0,
+            ny: 0,
+            voxel_nm: 1.0,
+        };
+        let m = MeasurementReport {
+            classes: Vec::new(),
+            total_measurements: 0,
+            confidence: MeasurementConfidence::full(),
+        };
+        decode_extraction(&encode_extraction(&ex, &m))
+            .expect("decodes")
+            .0
+            .netlist
+    }
+
     #[test]
     fn netlist_round_trips_including_capacitors() {
         let nl = hifi_circuit::topology::ocsa(Default::default()).into_netlist();
-        let back = decode_netlist(&encode_netlist(&nl)).expect("decodes");
-        assert_eq!(back, nl);
+        assert_eq!(netlist_round_trip(&nl), nl);
     }
 
     #[test]
     fn zero_device_netlist_round_trips() {
         let mut nl = Netlist::new("empty");
         nl.add_net("BL");
-        let back = decode_netlist(&encode_netlist(&nl)).expect("decodes");
+        let back = netlist_round_trip(&nl);
         assert_eq!(back, nl);
         assert_eq!(back.device_count(), 0);
     }

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 
 use hifi_circuit::topology::SaTopologyKind;
 use hifi_circuit::{NetId, Netlist, Polarity, TransistorClass, TransistorDims};
+use hifi_extract::{Extraction, MeasurementConfidence, MeasurementReport};
 use hifi_geometry::LayerStack;
 use hifi_imaging::{DetectorKind, DriftTruth, ImageStack, SemImage};
 use hifi_store::codec;
@@ -112,8 +113,14 @@ proptest! {
         for (i, &(ff, a, b)) in caps.iter().enumerate() {
             nl.add_capacitor(format!("c{i}"), Femtofarads(ff), net(a), net(b));
         }
-        let decoded = codec::decode_netlist(&codec::encode_netlist(&nl));
-        prop_assert_eq!(decoded.as_ref(), Ok(&nl));
+        let ex = Extraction { netlist: nl.clone(), devices: Vec::new(), nx: 0, ny: 0, voxel_nm: 1.0 };
+        let m = MeasurementReport {
+            classes: Vec::new(),
+            total_measurements: 0,
+            confidence: MeasurementConfidence::full(),
+        };
+        let decoded = codec::decode_extraction(&codec::encode_extraction(&ex, &m));
+        prop_assert_eq!(decoded.map(|(ex, _)| ex.netlist).as_ref(), Ok(&nl));
     }
 
     /// A single flipped byte anywhere in a volume blob must yield a clean
@@ -191,7 +198,7 @@ fn damaged_blobs_of_every_codec_never_panic() {
     let measurement = hifi_extract::measure(&extraction);
 
     type Decode = fn(&[u8]);
-    let codecs: [(&str, Vec<u8>, Decode); 6] = [
+    let codecs: [(&str, Vec<u8>, Decode); 4] = [
         ("volume", codec::encode_volume(&volume), |b| {
             drop(codec::decode_volume(b))
         }),
@@ -205,18 +212,10 @@ fn damaged_blobs_of_every_codec_never_panic() {
             codec::encode_processed(&stack, &truth.shifts),
             |b| drop(codec::decode_processed(b)),
         ),
-        ("netlist", codec::encode_netlist(&extraction.netlist), |b| {
-            drop(codec::decode_netlist(b))
-        }),
         (
             "extraction",
             codec::encode_extraction(&extraction, &measurement),
             |b| drop(codec::decode_extraction(b)),
-        ),
-        (
-            "measurement",
-            codec::encode_measurement(&measurement),
-            |b| drop(codec::decode_measurement(b)),
         ),
     ];
     let (mut total, mut failures) = (0, Vec::new());

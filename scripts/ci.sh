@@ -39,7 +39,7 @@
 #   serve-smoke   start the hifi-serve daemon, push two load_test batches
 #                 through it over HTTP (the second resubmits completed
 #                 specs, which must dedup against the shared store), then
-#                 SIGTERM and assert a clean drained shutdown
+#                 SIGTERM and assert a clean drained shutdown within 30 s
 #   bench-gate    overhead benches + full-die scale sweep (256x) +
 #                 the asserting cold_vs_warm and pipeline_scaling
 #                 benches + perfbench's mna_sweep, serve_mix and
@@ -256,8 +256,21 @@ job_serve_smoke() {
     target/release/load_test --connect "$addr" --jobs 40 --distinct 8 --clients 4
     echo "==> batch 2: resubmit completed specs (must dedup via store hits)"
     target/release/load_test --connect "$addr" --jobs 16 --distinct 8 --clients 4
-    echo "==> SIGTERM: daemon must drain and exit 0"
+    echo "==> SIGTERM: daemon must drain and exit 0 within 30 s"
     kill -TERM "$SERVE_SMOKE_PID"
+    # Poll instead of a bare `wait`, so a daemon that never wakes fails
+    # the job here rather than hanging it until the workflow timeout.
+    local polls=0
+    while kill -0 "$SERVE_SMOKE_PID" 2>/dev/null; do
+        if [[ "$polls" -ge 300 ]]; then
+            echo "serve-smoke: daemon still running 30 s after SIGTERM" >&2
+            cat "$tmp/serve.err" >&2 || true
+            kill -KILL "$SERVE_SMOKE_PID" 2>/dev/null || true
+            exit 1
+        fi
+        sleep 0.1
+        polls=$((polls + 1))
+    done
     local status=0
     wait "$SERVE_SMOKE_PID" || status=$?
     SERVE_SMOKE_PID=""
