@@ -81,11 +81,6 @@ impl MosfetModel {
         self.vt0 + self.vt_offset
     }
 
-    /// Effective threshold magnitude including mismatch, as a typed voltage.
-    pub fn vt_volts(&self) -> Volts {
-        Volts(self.vt())
-    }
-
     /// Operating region for the given overdrive and drain-source voltage
     /// (both already in the device's own polarity convention, i.e. positive
     /// for a conducting NMOS).

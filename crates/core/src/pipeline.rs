@@ -1,6 +1,5 @@
 //! The end-to-end reverse-engineering pipeline.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -11,10 +10,10 @@ use hifi_circuit::topology::{SaDimensions, SaTopologyKind};
 use hifi_circuit::TransistorClass;
 use hifi_data::Chip;
 use hifi_extract::{measure, ExtractError, Extraction, MeasurementConfidence, MeasurementReport};
-use hifi_faults::{Exhausted, FaultPlan, FaultSpec, RetryError, RetryPolicy, VirtualClock};
+use hifi_faults::{Exhausted, FaultPlan, FaultSpec, Recovery, RetryError, RetryPolicy};
 use hifi_imaging::{
     acquire_with, align_with, denoise_profiled, metrics, reconstruct, render_ideal, AcquireOpts,
-    AlignMethod, ImagingConfig, Recovery,
+    AlignMethod, ImagingConfig,
 };
 use hifi_store::fingerprint::salts;
 use hifi_store::{
@@ -408,13 +407,10 @@ impl Pipeline {
         }
         // A fresh plan per run: injection is a pure function of the spec,
         // so repeated runs of one config see exactly the same faults.
-        let plan = cfg.faults.clone().map(|s| Arc::new(FaultPlan::new(s)));
+        let recovery = Recovery::new(cfg.faults.clone(), cfg.retry.clone());
         let ctx = StageCtx {
-            store: self.resolve_store(plan.as_ref())?,
-            plan,
-            policy: cfg.retry.clone(),
-            clock: VirtualClock::new(),
-            backoffs: RefCell::new(Vec::new()),
+            store: self.resolve_store(recovery.plan())?,
+            recovery,
         };
         // Per-slice lane profiling and the allocation high-water mark are
         // collected only for instrumented runs; a NoopRecorder run skips
@@ -466,13 +462,8 @@ impl Pipeline {
                     codec::decode_acquisition,
                     |(stack, truth, degraded)| codec::encode_acquisition(stack, truth, degraded),
                     |rec| {
-                        let recovery = ctx.plan.as_deref().map(|plan| Recovery {
-                            plan,
-                            policy: &ctx.policy,
-                            clock: &ctx.clock,
-                        });
                         let opts = AcquireOpts {
-                            recovery,
+                            recovery: ctx.recovery.plan().is_some().then_some(&ctx.recovery),
                             lanes: lanes.as_ref(),
                         };
                         let out = with_span(rec, "acquire", |_| {
@@ -610,7 +601,7 @@ impl Pipeline {
         if let Some(w) = &worst {
             rec.gauge(names::WORST_DIMENSION_DEVIATION, w.value());
         }
-        if let Some(plan) = ctx.plan.as_deref() {
+        if let Some(plan) = ctx.recovery.plan() {
             let t = plan.tally();
             if t.injected > 0 {
                 rec.counter(names::FAULT_INJECTED, t.injected);
@@ -624,23 +615,25 @@ impl Pipeline {
             if t.degraded > 0 {
                 rec.counter(names::FAULT_DEGRADED, t.degraded);
             }
-            let waited = ctx.clock.elapsed();
-            if !waited.is_zero() {
-                rec.gauge(names::FAULT_BACKOFF_MS, waited.as_secs_f64() * 1e3);
-            }
         }
         // Flush the run's profiling collectors into the event stream: one
         // thread-span event (plus a latency histogram sample) per timed
-        // per-slice closure, one histogram sample per retry backoff, and
-        // the allocation high-water mark when the counting allocator is
-        // installed (feature `alloc-track`).
+        // per-slice closure, one histogram sample per backoff the run's
+        // ledger charged (slice re-acquisitions, store I/O and stage
+        // retries alike) next to their sum, and the allocation high-water
+        // mark when the counting allocator is installed (feature
+        // `alloc-track`).
         if let Some(lanes) = &lanes {
             for span in lanes.drain() {
                 rec.thread_span(&span.name, span.tid, span.start_us, span.duration_us);
                 rec.histogram(&format!("{}_us", span.name), span.duration_us);
             }
-            for delay in ctx.backoffs.borrow_mut().drain(..) {
+            for delay in ctx.recovery.backoffs() {
                 rec.histogram(names::HIST_FAULT_BACKOFF_US, delay.as_micros() as u64);
+            }
+            let waited = ctx.recovery.waited();
+            if !waited.is_zero() {
+                rec.gauge(names::FAULT_BACKOFF_MS, waited.as_secs_f64() * 1e3);
             }
             if let Some(peak) = hifi_telemetry::alloc::peak_bytes() {
                 rec.gauge(names::ALLOC_PEAK_BYTES, peak as f64);
@@ -661,16 +654,11 @@ impl Pipeline {
 }
 
 /// What the cached stages of one run share: the artifact store (if
-/// caching is on), the fault plan (if injection is configured), the retry
-/// policy, and the virtual clock that backoff waits advance.
+/// caching is on) and the run's retry ledger, which holds the fault plan
+/// (if injection is configured).
 struct StageCtx {
     store: Option<ArtifactStore>,
-    plan: Option<Arc<FaultPlan>>,
-    policy: RetryPolicy,
-    clock: VirtualClock,
-    /// Backoff delays observed by retried operations this run, drained
-    /// into the `fault.backoff_delay_us` histogram at the end of the run.
-    backoffs: RefCell<Vec<Duration>>,
+    recovery: Recovery,
 }
 
 impl StageCtx {
@@ -699,7 +687,7 @@ impl StageCtx {
         };
         let t0 = rec.enabled().then(Instant::now);
         let got = self.retrying(
-            &format!("store.get:{what}"),
+            ("store.get", what),
             StoreError::is_transient,
             PipelineError::Store,
             || store.get(key),
@@ -718,7 +706,7 @@ impl StageCtx {
         let bytes = encode(&value);
         let t0 = rec.enabled().then(Instant::now);
         self.retrying(
-            &format!("store.put:{what}"),
+            ("store.put", what),
             StoreError::is_transient,
             PipelineError::Store,
             || store.put(key, &bytes),
@@ -744,22 +732,21 @@ impl StageCtx {
         stage_name: &'static str,
         mut f: impl FnMut() -> T,
     ) -> Result<T, PipelineError> {
-        let Some(plan) = self.plan.as_deref() else {
+        let Some(plan) = self.recovery.plan() else {
             return Ok(f());
         };
-        let site = format!("stage:{stage_name}");
         // Every panic is treated as transient, so no panic is fatal; map
         // one defensively rather than asserting unreachability.
         let fatal = |message| {
             PipelineError::GaveUp(Exhausted {
-                site: site.clone(),
+                site: format!("stage:{stage_name}"),
                 attempts: 1,
                 last_error: message,
                 waited: Duration::ZERO,
             })
         };
         self.retrying(
-            &site,
+            ("stage", stage_name),
             |_| true,
             fatal,
             || {
@@ -772,42 +759,25 @@ impl StageCtx {
         )
     }
 
-    /// Runs `op` under the retry policy at fault site `site`. Transient
-    /// failures (per `is_transient`) back off on the virtual clock and
-    /// feed the plan's recovery tallies until the budget runs out
-    /// ([`PipelineError::GaveUp`]); a non-transient one surfaces at once
-    /// as `fatal(error)`.
+    /// Runs `op` through the run's [`Recovery`] at fault site
+    /// `<kind>:<what>`, and maps an exhausted budget onto
+    /// [`PipelineError::GaveUp`] and a non-transient error onto
+    /// `fatal(error)`.
     fn retrying<T, E: core::fmt::Display>(
         &self,
-        site: &str,
+        (kind, what): (&str, &str),
         is_transient: impl Fn(&E) -> bool,
         fatal: impl FnOnce(E) -> PipelineError,
-        mut op: impl FnMut() -> Result<T, E>,
+        op: impl FnMut() -> Result<T, E>,
     ) -> Result<T, PipelineError> {
-        match hifi_faults::retry_observed(
-            &self.policy,
-            &self.clock,
-            is_transient,
-            |_retry, delay| self.backoffs.borrow_mut().push(delay),
-            |_| op(),
-        ) {
-            Ok((value, retries)) => {
-                if retries > 0 {
-                    if let Some(plan) = &self.plan {
-                        plan.record_retried(u64::from(retries));
-                        plan.record_recovered(1);
-                    }
+        self.recovery
+            .run(is_transient, op)
+            .map_err(|error| match error {
+                RetryError::Fatal(e) => fatal(e),
+                RetryError::GaveUp(gave_up) => {
+                    PipelineError::GaveUp(gave_up.into_exhausted(format!("{kind}:{what}")))
                 }
-                Ok(value)
-            }
-            Err(RetryError::Fatal(e)) => Err(fatal(e)),
-            Err(RetryError::GaveUp(gave_up)) => {
-                if let Some(plan) = &self.plan {
-                    plan.record_retried(u64::from(gave_up.attempts.saturating_sub(1)));
-                }
-                Err(PipelineError::GaveUp(gave_up.into_exhausted(site)))
-            }
-        }
+            })
     }
 }
 

@@ -18,138 +18,39 @@
 //! - [`RetryPolicy`] — bounded retries with deterministic exponential
 //!   backoff. Backoff advances a [`VirtualClock`] instead of sleeping, so
 //!   recovery is reproducible and tests stay fast.
+//! - [`Recovery`] — one run's retry ledger: its plan, policy and clock,
+//!   and a log of every backoff charged. Every retry, recovery and
+//!   degradation of a run is recorded through it, into its plan's
+//!   [`FaultTally`]; there are no process-wide fault counters.
 //! - [`GaveUp`] / [`Exhausted`] — typed errors for operations that used up
 //!   their whole retry budget; callers either surface them or degrade
-//!   gracefully (and say so via the fault counters).
+//!   gracefully (and say so via [`Recovery::degrade`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use hifi_faults::{retry, FaultKind, FaultPlan, FaultSpec, RetryPolicy, VirtualClock};
+//! use hifi_faults::{FaultKind, FaultSpec, Recovery, RetryPolicy};
 //!
 //! // Fail roughly half of all first attempts, never twice in a row.
-//! let plan = FaultPlan::new(FaultSpec::uniform(7, 0.5).with_max_consecutive(1));
-//! let policy = RetryPolicy::default();
-//! let clock = VirtualClock::new();
-//! let value = retry(&policy, &clock, |_| true, |attempt| {
-//!     if plan.check(FaultKind::StoreRead, "blob:42") {
-//!         Err(format!("injected fault on attempt {attempt}"))
-//!     } else {
-//!         Ok(42)
-//!     }
-//! })
-//! .expect("recoverable by construction");
-//! assert_eq!(value.0, 42);
+//! let spec = FaultSpec::uniform(7, 0.5).with_max_consecutive(1);
+//! let recovery = Recovery::new(Some(spec), RetryPolicy::default());
+//! let plan = recovery.plan().expect("injection is configured");
+//! let value = recovery
+//!     .run(|_| true, || {
+//!         if plan.check(FaultKind::StoreRead, "blob:42") {
+//!             Err("injected fault")
+//!         } else {
+//!             Ok(42)
+//!         }
+//!     })
+//!     .expect("recoverable by construction");
+//! assert_eq!(value, 42);
+//! // Each logged backoff is one counted retry.
+//! assert_eq!(plan.tally().retried, recovery.backoffs().len() as u64);
 //! ```
 
 mod plan;
 mod retry;
 
 pub use plan::{FaultKind, FaultPlan, FaultSpec, FaultTally};
-pub use retry::{retry, retry_observed, Exhausted, GaveUp, RetryError, RetryPolicy, VirtualClock};
-
-/// Process-wide fault counters, aggregated across every [`FaultPlan`] in
-/// the process — the mirror of `hifi_store::stats` for the fault layer.
-///
-/// Per-plan tallies ([`FaultPlan::tally`]) serve a single run's report;
-/// these counters let a driver that executes many runs (the conformance
-/// campaign, quickstart's run sequence) print one end-of-process line
-/// without threading every plan through. Counters are monotonic; diff two
-/// [`stats::snapshot`]s to measure an interval.
-pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static INJECTED: AtomicU64 = AtomicU64::new(0);
-    static RETRIED: AtomicU64 = AtomicU64::new(0);
-    static RECOVERED: AtomicU64 = AtomicU64::new(0);
-    static DEGRADED: AtomicU64 = AtomicU64::new(0);
-
-    /// A point-in-time copy of the counters.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct Snapshot {
-        /// Faults injected by any plan.
-        pub injected: u64,
-        /// Retry attempts made in response.
-        pub retried: u64,
-        /// Operations that recovered after at least one retry.
-        pub recovered: u64,
-        /// Operations that exhausted retries and were degraded.
-        pub degraded: u64,
-    }
-
-    impl Snapshot {
-        /// Counter deltas since an `earlier` snapshot.
-        pub fn since(&self, earlier: &Snapshot) -> Snapshot {
-            Snapshot {
-                injected: self.injected - earlier.injected,
-                retried: self.retried - earlier.retried,
-                recovered: self.recovered - earlier.recovered,
-                degraded: self.degraded - earlier.degraded,
-            }
-        }
-
-        /// Whether any fault activity happened in this interval.
-        pub fn any(&self) -> bool {
-            self.injected + self.retried + self.recovered + self.degraded > 0
-        }
-
-        /// One-line human summary, e.g.
-        /// `faults: 5 injected, 4 retried, 3 recovered, 1 degraded`.
-        pub fn summary(&self) -> String {
-            format!(
-                "faults: {} injected, {} retried, {} recovered, {} degraded",
-                self.injected, self.retried, self.recovered, self.degraded
-            )
-        }
-    }
-
-    /// Reads the current counters.
-    pub fn snapshot() -> Snapshot {
-        Snapshot {
-            injected: INJECTED.load(Ordering::Relaxed),
-            retried: RETRIED.load(Ordering::Relaxed),
-            recovered: RECOVERED.load(Ordering::Relaxed),
-            degraded: DEGRADED.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn record_injected(n: u64) {
-        INJECTED.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_retried(n: u64) {
-        RETRIED.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_recovered(n: u64) {
-        RECOVERED.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_degraded(n: u64) {
-        DEGRADED.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn snapshot_deltas_and_summary() {
-            let before = snapshot();
-            record_injected(2);
-            record_retried(2);
-            record_recovered(1);
-            record_degraded(1);
-            let delta = snapshot().since(&before);
-            assert_eq!(delta.injected, 2);
-            assert_eq!(delta.retried, 2);
-            assert_eq!(delta.recovered, 1);
-            assert_eq!(delta.degraded, 1);
-            assert!(delta.any());
-            assert!(!Snapshot::default().any());
-            let line = delta.summary();
-            assert!(line.contains("2 injected"), "{line}");
-            assert!(line.contains("1 degraded"), "{line}");
-        }
-    }
-}
+pub use retry::{retry, Exhausted, GaveUp, Recovery, RetryError, RetryPolicy, VirtualClock};

@@ -242,7 +242,6 @@ impl FaultPlan {
         let fail = self.decides(kind, site_hash, attempt);
         if fail {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            crate::stats::record_injected(1);
         }
         fail
     }
@@ -273,22 +272,20 @@ impl FaultPlan {
         }
     }
 
-    /// Counts retry attempts made in response to injected faults.
-    pub fn record_retried(&self, n: u64) {
+    /// Counts retry attempts made in response to injected faults (only
+    /// [`crate::Recovery`] keeps this tally).
+    pub(crate) fn record_retried(&self, n: u64) {
         self.retried.fetch_add(n, Ordering::Relaxed);
-        crate::stats::record_retried(n);
     }
 
     /// Counts operations that recovered after at least one retry.
-    pub fn record_recovered(&self, n: u64) {
+    pub(crate) fn record_recovered(&self, n: u64) {
         self.recovered.fetch_add(n, Ordering::Relaxed);
-        crate::stats::record_recovered(n);
     }
 
     /// Counts operations degraded after exhausting their retries.
-    pub fn record_degraded(&self, n: u64) {
+    pub(crate) fn record_degraded(&self, n: u64) {
         self.degraded.fetch_add(n, Ordering::Relaxed);
-        crate::stats::record_degraded(n);
     }
 
     /// Snapshot of the plan's counters.

@@ -1,7 +1,11 @@
-//! Bounded retries with deterministic exponential backoff.
+//! Bounded retries with deterministic exponential backoff, and the
+//! run-scoped [`Recovery`] ledger that charges them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use crate::{FaultPlan, FaultSpec};
 
 /// How a fallible operation is retried: a bounded number of retries with
 /// exponential backoff, saturating at a delay ceiling.
@@ -42,12 +46,6 @@ impl RetryPolicy {
             max_retries: 0,
             ..Self::default()
         }
-    }
-
-    /// Sets the retry budget (builder style).
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
     }
 
     /// The backoff before retry number `retry` (0-based):
@@ -194,14 +192,8 @@ pub fn retry<T, E>(
 
 /// [`retry`] with a backoff observer: `observe(retry_number, delay)` is
 /// called for every backoff charged to the clock, *before* the retried
-/// attempt runs. Telemetry uses this to histogram individual backoff
-/// delays (the `fault.backoff_delay_us` histogram) where the clock only
-/// exposes their sum.
-///
-/// # Errors
-///
-/// Exactly as [`retry`].
-pub fn retry_observed<T, E>(
+/// attempt runs.
+fn retry_observed<T, E>(
     policy: &RetryPolicy,
     clock: &VirtualClock,
     is_transient: impl Fn(&E) -> bool,
@@ -231,6 +223,95 @@ pub fn retry_observed<T, E>(
         }
     }
 }
+
+/// The retry ledger of one run: its optional [`FaultPlan`], its
+/// [`RetryPolicy`], the [`VirtualClock`] its backoff is charged to, and a
+/// log of every backoff charged.
+///
+/// Every retried operation of the run goes through [`Recovery::run`] and
+/// every degraded one through [`Recovery::degrade`], so the plan's
+/// `retried`/`recovered`/`degraded` tallies, the clock and the log are
+/// written in one place: each logged backoff is one counted retry. The
+/// ledger is `Sync`, so parallel workers share one by reference.
+#[derive(Debug)]
+pub struct Recovery {
+    plan: Option<Arc<FaultPlan>>,
+    policy: RetryPolicy,
+    clock: VirtualClock,
+    backoffs: Mutex<Vec<Duration>>,
+}
+
+impl Recovery {
+    /// A ledger for one run: a fresh plan built from `faults` (`None`
+    /// injects nothing) and retries under `policy`.
+    pub fn new(faults: Option<FaultSpec>, policy: RetryPolicy) -> Self {
+        Self {
+            plan: faults.map(|spec| Arc::new(FaultPlan::new(spec))),
+            policy,
+            clock: VirtualClock::new(),
+            backoffs: Mutex::default(),
+        }
+    }
+
+    /// The run's fault plan, if injection is configured.
+    pub fn plan(&self) -> Option<&Arc<FaultPlan>> {
+        self.plan.as_ref()
+    }
+
+    /// Runs `op` under the policy, as [`retry`] does: transient errors
+    /// (per `is_transient`) back off on the clock, fatal ones return at
+    /// once. Every backoff is logged and counted as a retry, and a success
+    /// after at least one retry as a recovery.
+    ///
+    /// # Errors
+    ///
+    /// [`RetryError::Fatal`] on the first non-transient error,
+    /// [`RetryError::GaveUp`] once the policy's retries are spent.
+    pub fn run<T, E>(
+        &self,
+        is_transient: impl Fn(&E) -> bool,
+        mut op: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, RetryError<E>> {
+        let charge = |_retry, delay| {
+            self.backoffs.lock().expect(POISONED).push(delay);
+            if let Some(plan) = &self.plan {
+                plan.record_retried(1);
+            }
+        };
+        let (value, retries) =
+            retry_observed(&self.policy, &self.clock, is_transient, charge, |_| op())?;
+        if retries > 0 {
+            if let Some(plan) = &self.plan {
+                plan.record_recovered(1);
+            }
+        }
+        Ok(value)
+    }
+
+    /// Records an operation that exhausted its retries and was degraded
+    /// (a slice interpolated from its neighbours).
+    pub fn degrade(&self) {
+        if let Some(plan) = &self.plan {
+            plan.record_degraded(1);
+        }
+    }
+
+    /// Total virtual backoff charged so far.
+    pub fn waited(&self) -> Duration {
+        self.clock.elapsed()
+    }
+
+    /// Every backoff charged so far, shortest first, so the log reads the
+    /// same whatever order parallel workers charged it in.
+    pub fn backoffs(&self) -> Vec<Duration> {
+        let mut log = self.backoffs.lock().expect(POISONED).clone();
+        log.sort_unstable();
+        log
+    }
+}
+
+/// Why taking the backoff log's lock can fail.
+const POISONED: &str = "a thread panicked while charging a backoff";
 
 #[cfg(test)]
 mod tests {
@@ -364,40 +445,40 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_each_backoff_delay() {
-        let clock = VirtualClock::new();
-        let mut seen: Vec<(u32, Duration)> = Vec::new();
+    fn recovery_logs_and_counts_every_backoff_it_charges() {
+        let ms = Duration::from_millis;
+        let recovery = Recovery::new(Some(FaultSpec::disabled()), RetryPolicy::default());
         let mut failures = 3;
-        let ((), retries) = retry_observed(
-            &RetryPolicy::default(),
-            &clock,
-            |_: &&str| true,
-            |retry, delay| seen.push((retry, delay)),
-            |_| {
-                if failures > 0 {
-                    failures -= 1;
-                    Err("transient")
-                } else {
-                    Ok(())
-                }
-            },
-        )
-        .expect("recovers within budget");
-        assert_eq!(retries, 3);
-        assert_eq!(
-            seen,
-            vec![
-                (0, Duration::from_millis(10)),
-                (1, Duration::from_millis(20)),
-                (2, Duration::from_millis(40)),
-            ]
-        );
-        let total: Duration = seen.iter().map(|(_, d)| *d).sum();
-        assert_eq!(
-            clock.elapsed(),
-            total,
-            "observer sees what the clock is charged"
-        );
+        let flaky = || {
+            if failures > 0 {
+                failures -= 1;
+                Err("transient")
+            } else {
+                Ok(())
+            }
+        };
+        recovery.run(|_: &&str| true, flaky).expect("recovers");
+        let err = recovery.run(|_: &&str| true, || Err::<(), _>("down"));
+        assert!(matches!(err, Err(RetryError::GaveUp(ref g)) if g.attempts == 4));
+        recovery.degrade();
+        let err = recovery.run(|e: &&str| *e != "fatal", || Err::<(), _>("fatal"));
+        assert_eq!(err, Err(RetryError::Fatal("fatal")));
+        // Both retried operations charged 10, 20 and 40 ms; the log is
+        // sorted, and the clock holds its sum.
+        let log = recovery.backoffs();
+        assert_eq!(log, [10, 10, 20, 20, 40, 40].map(ms));
+        assert_eq!(recovery.waited(), log.iter().sum::<Duration>());
+        let tally = recovery.plan().expect("plan").tally();
+        assert_eq!((tally.retried, tally.recovered, tally.degraded), (6, 1, 1));
+
+        // Without a plan the clock and log are still charged and nothing
+        // is tallied.
+        let bare = Recovery::new(None, RetryPolicy::default());
+        assert!(bare.run(|_: &&str| true, || Err::<(), _>("down")).is_err());
+        bare.degrade();
+        assert!(bare.plan().is_none());
+        assert_eq!(bare.backoffs(), [10, 20, 40].map(ms));
+        assert_eq!(bare.waited(), ms(70));
     }
 
     #[test]

@@ -46,5 +46,5 @@ pub use denoise::{
 pub use reconstruct::{classify_pixel, reconstruct};
 pub use sem::{
     acquire, acquire_with, render_ideal, AcquireOpts, AcquireOutcome, AcquirePlan, DetectorKind,
-    DriftTruth, ImageStack, ImagingConfig, Recovery, SemImage,
+    DriftTruth, ImageStack, ImagingConfig, SemImage,
 };

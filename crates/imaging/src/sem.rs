@@ -1,6 +1,6 @@
 //! FIB slicing and SEM image formation.
 
-use hifi_faults::{retry, FaultKind, FaultPlan, RetryPolicy, VirtualClock};
+use hifi_faults::{FaultKind, Recovery};
 use hifi_synth::MaterialVolume;
 use hifi_telemetry::LaneProfiler;
 use rand::rngs::StdRng;
@@ -583,26 +583,15 @@ pub fn acquire(volume: &MaterialVolume, cfg: &ImagingConfig) -> (ImageStack, Dri
     (out.stack, out.truth)
 }
 
-/// The fault machinery of a fault-aware acquisition (see
-/// [`AcquireOpts::recovery`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Recovery<'a> {
-    /// Decides which slice acquisitions fail (sites `slice:<i>`, keyed on
-    /// the global slice index).
-    pub plan: &'a FaultPlan,
-    /// How often a failed slice is re-acquired.
-    pub policy: &'a RetryPolicy,
-    /// Clock the retry backoff is charged to.
-    pub clock: &'a VirtualClock,
-}
-
 /// How [`acquire_with`] executes. The default (fault-free, unprofiled) is
 /// [`acquire`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AcquireOpts<'a> {
-    /// Consults a fault plan for every slice acquisition and re-acquires
-    /// failed ones; `None` acquires fault-free.
-    pub recovery: Option<Recovery<'a>>,
+    /// The run's retry ledger: every slice acquisition consults its fault
+    /// plan (sites `slice:<i>`, keyed on the global slice index) and
+    /// failed ones are re-acquired under its policy; `None` acquires
+    /// fault-free.
+    pub recovery: Option<&'a Recovery>,
     /// Times each slice's acquisition, retries included, as an
     /// `acquire.slice` span on the worker lane that executed it.
     pub lanes: Option<&'a LaneProfiler>,
@@ -626,14 +615,14 @@ pub struct AcquireOutcome {
 /// [`acquire`] under the execution options of `opts`: every scheduled
 /// slice of the [`AcquirePlan`] renders from `volume` in one parallel map.
 ///
-/// Under [`AcquireOpts::recovery`] each slice acquisition consults the plan
-/// and, when a fault is injected, is re-acquired under the policy with
-/// backoff charged to the clock. A re-acquired slice replays the same RNG
-/// snapshot, so a recovered stack is **bit-identical** to a clean one at
-/// any thread count. A slice that exhausts its retries is interpolated
-/// from its nearest intact neighbours (mean of both sides, copy of one
-/// side at the stack edges, oxide fill if every slice failed) and flagged
-/// in [`AcquireOutcome::degraded_slices`].
+/// Under [`AcquireOpts::recovery`] each slice acquisition consults the
+/// ledger's plan and, when a fault is injected, is re-acquired through
+/// [`Recovery::run`], which charges and logs the backoff. A re-acquired
+/// slice replays the same RNG snapshot, so a recovered stack is
+/// **bit-identical** to a clean one at any thread count. A slice that
+/// exhausts its retries is interpolated from its nearest intact neighbours
+/// (mean of both sides, copy of one side at the stack edges, oxide fill if
+/// every slice failed) and flagged in [`AcquireOutcome::degraded_slices`].
 pub fn acquire_with(
     volume: &MaterialVolume,
     cfg: &ImagingConfig,
@@ -645,40 +634,25 @@ pub fn acquire_with(
     // independently; `None` marks a slice that exhausted its retries.
     let acquire_one = |i: usize| -> Option<SemImage> {
         let render = || aplan.render(volume, 0, i, cfg);
-        let Some(Recovery {
-            plan,
-            policy,
-            clock,
-        }) = opts.recovery
-        else {
+        let Some(recovery) = opts.recovery else {
             return Some(render());
         };
+        let plan = recovery.plan();
         let site = format!("slice:{i}");
         // A failed slice acquisition is always transient: the stage
         // position is unchanged and the mill schedule already advanced.
-        let attempt = |_attempt| {
-            if plan.check(FaultKind::AcquireSlice, &site) {
-                Err(())
-            } else {
-                Ok(render())
-            }
-        };
-        match retry(policy, clock, |_| true, attempt) {
-            Ok((img, retries)) => {
-                if retries > 0 {
-                    plan.record_retried(u64::from(retries));
-                    plan.record_recovered(1);
+        let acquired = recovery.run(
+            |_| true,
+            || {
+                if plan.is_some_and(|plan| plan.check(FaultKind::AcquireSlice, &site)) {
+                    Err(())
+                } else {
+                    Ok(render())
                 }
-                Some(img)
-            }
-            Err(_) => {
-                // Transient-only error type: the only reachable branch is
-                // an exhausted retry budget.
-                plan.record_retried(u64::from(policy.max_retries));
-                plan.record_degraded(1);
-                None
-            }
-        }
+            },
+        );
+        // Transient-only error type: the only error is an exhausted budget.
+        acquired.inspect_err(|_| recovery.degrade()).ok()
     };
     let indices: Vec<usize> = (0..aplan.len()).collect();
     let mut rendered = rayon::par_map(&indices, |&i| {
@@ -825,15 +799,14 @@ mod tests {
         }
     }
 
-    /// A half-rate slice-fault plan capped at two consecutive failures:
-    /// recoverable under the default policy (3 retries).
-    fn recoverable_plan() -> FaultPlan {
-        FaultPlan::new(
-            hifi_faults::FaultSpec::disabled()
-                .with_seed(3)
-                .with_rate(FaultKind::AcquireSlice, 0.5)
-                .with_max_consecutive(2),
-        )
+    /// A half-rate slice-fault plan capped at two consecutive failures,
+    /// under the default policy (3 retries): recoverable.
+    fn recoverable() -> Recovery {
+        let spec = hifi_faults::FaultSpec::disabled()
+            .with_seed(3)
+            .with_rate(FaultKind::AcquireSlice, 0.5)
+            .with_max_consecutive(2);
+        Recovery::new(Some(spec), hifi_faults::RetryPolicy::default())
     }
 
     #[test]
@@ -845,7 +818,6 @@ mod tests {
                 .flat_map(|img| img.pixels().iter().map(|p| p.to_bits()))
                 .collect()
         };
-        let policy = RetryPolicy::default();
         // One slice per voxel column, and a step that leaves gaps.
         for slice_voxels in [1usize, 3] {
             let cfg = ImagingConfig {
@@ -856,18 +828,9 @@ mod tests {
             for faulted in [false, true] {
                 for profiled in [false, true] {
                     let case = format!("step {slice_voxels}, faults {faulted}, lanes {profiled}");
-                    let (plan, clock, lanes) = (
-                        recoverable_plan(),
-                        VirtualClock::new(),
-                        LaneProfiler::new(0),
-                    );
-                    let recovery = faulted.then_some(Recovery {
-                        plan: &plan,
-                        policy: &policy,
-                        clock: &clock,
-                    });
+                    let (recovery, lanes) = (recoverable(), LaneProfiler::new(0));
                     let opts = AcquireOpts {
-                        recovery,
+                        recovery: faulted.then_some(&recovery),
                         lanes: profiled.then_some(&lanes),
                     };
                     let out = acquire_with(&v, &cfg, &opts);
@@ -877,11 +840,13 @@ mod tests {
                     assert!(out.degraded_slices.is_empty(), "{case}");
                     // A faulted run must inject, recover every slice and
                     // charge its backoff to the virtual clock.
-                    let tally = plan.tally();
+                    let tally = recovery.plan().expect("plan").tally();
                     assert_eq!(tally.injected > 0, faulted, "{case}");
                     assert_eq!(tally.recovered > 0, faulted, "{case}");
                     assert_eq!(tally.degraded, 0, "{case}");
-                    assert_eq!(!clock.elapsed().is_zero(), faulted, "{case}");
+                    assert_eq!(!recovery.waited().is_zero(), faulted, "{case}");
+                    // Every slice re-acquisition is a logged backoff.
+                    assert_eq!(recovery.backoffs().len() as u64, tally.retried, "{case}");
                     let spans = lanes.drain();
                     let want = if profiled { mono.len() } else { 0 };
                     assert_eq!(spans.len(), want, "{case}");
@@ -1150,19 +1115,13 @@ mod tests {
         let cfg = ImagingConfig::default();
         let (clean, _) = acquire(&v, &cfg);
         // Zero-retry policy: every injected slice degrades immediately.
-        let plan = FaultPlan::new(
-            FaultSpec::disabled()
-                .with_seed(11)
-                .with_rate(FaultKind::AcquireSlice, 0.4)
-                .with_max_consecutive(5),
-        );
-        let recovery = Recovery {
-            plan: &plan,
-            policy: &RetryPolicy::none(),
-            clock: &VirtualClock::new(),
-        };
+        let spec = FaultSpec::disabled()
+            .with_seed(11)
+            .with_rate(FaultKind::AcquireSlice, 0.4)
+            .with_max_consecutive(5);
+        let recovery = Recovery::new(Some(spec), hifi_faults::RetryPolicy::none());
         let opts = AcquireOpts {
-            recovery: Some(recovery),
+            recovery: Some(&recovery),
             ..Default::default()
         };
         let out = acquire_with(&v, &cfg, &opts);
@@ -1171,7 +1130,8 @@ mod tests {
             "seed 11 at 40% must degrade"
         );
         assert_eq!(out.stack.len(), clean.len(), "stack shape is preserved");
-        assert_eq!(plan.tally().degraded, out.degraded_slices.len() as u64);
+        let tally = recovery.plan().expect("plan").tally();
+        assert_eq!(tally.degraded, out.degraded_slices.len() as u64);
         for i in 0..clean.len() {
             if out.degraded_slices.contains(&i) {
                 assert_eq!(out.stack.slice(i).dims(), clean.slice(i).dims());

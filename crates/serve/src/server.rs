@@ -13,10 +13,11 @@
 //!
 //! Submissions are keyed by [`JobRequest::cache_key`]. A duplicate of an
 //! *in-flight* job is admitted as an alias record — it occupies no queue
-//! slot and resolves to the original's result the moment it lands. A
-//! duplicate of a *completed* job re-executes, but every pipeline stage
-//! hits the shared store, so the run is cheap and its report carries the
-//! `store.hit` counters that make the dedup observable to the tenant.
+//! slot, keeps no status of its own and reads the original's status and
+//! result through the original's record. A duplicate of a *completed* job
+//! re-executes, but every pipeline stage hits the shared store, so the run
+//! is cheap and its report carries the `store.hit` counters that make the
+//! dedup observable to the tenant.
 //!
 //! # Shutdown
 //!
@@ -113,8 +114,8 @@ impl ServeConfig {
     }
 }
 
-/// Result of a finished job, shared between the original record and any
-/// dedup aliases.
+/// Result of a finished job, read by the original record and any dedup
+/// aliases.
 #[derive(Debug)]
 pub struct JobOutcome {
     /// Content fingerprint of the analysis result (identification,
@@ -134,10 +135,25 @@ struct JobRecord {
     id: u64,
     request: JobRequest,
     key: String,
-    status: JobStatus,
-    /// For alias records: the id of the execution this job rides on.
-    dedup_of: Option<u64>,
-    outcome: Option<Arc<JobOutcome>>,
+    run: Run,
+}
+
+/// Where a job's status and outcome live.
+enum Run {
+    /// The job is an execution: its status and, once finished, outcome.
+    Own(JobStatus, Option<JobOutcome>),
+    /// A dedup alias of the execution with this id; it reads that
+    /// execution's status and outcome (see [`Registry::run_of`]).
+    Alias(u64),
+}
+
+impl JobRecord {
+    fn dedup_of(&self) -> Option<u64> {
+        match self.run {
+            Run::Alias(id) => Some(id),
+            Run::Own(..) => None,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -160,6 +176,15 @@ impl Registry {
     fn record_mut(&mut self, id: u64) -> Option<&mut JobRecord> {
         self.jobs.get_mut((id as usize).checked_sub(1)?)
     }
+
+    /// The status and outcome `record` reports: its own, or for an alias
+    /// those of the execution it rides on, read when asked.
+    fn run_of<'a>(&'a self, record: &'a JobRecord) -> (JobStatus, Option<&'a JobOutcome>) {
+        match &record.run {
+            Run::Own(status, outcome) => (*status, outcome.as_ref()),
+            Run::Alias(id) => self.run_of(self.record(*id).expect("aliases ride on admitted jobs")),
+        }
+    }
 }
 
 struct State {
@@ -170,6 +195,20 @@ struct State {
     depth_hist: Mutex<Histogram>,
     shutdown: AtomicBool,
     started: Instant,
+}
+
+impl State {
+    fn new(cfg: ServeConfig) -> Self {
+        Self {
+            queue: BoundedQueue::new(cfg.capacity),
+            cfg,
+            registry: Mutex::new(Registry::default()),
+            wait_hist: Mutex::new(Histogram::new()),
+            depth_hist: Mutex::new(Histogram::new()),
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+        }
+    }
 }
 
 /// Handle to a started server; dropping it (or calling [`stop`]) drains
@@ -248,15 +287,7 @@ pub fn start(cfg: ServeConfig) -> Result<RunningServer, String> {
     );
 
     let workers = cfg.workers.max(1);
-    let state = Arc::new(State {
-        queue: BoundedQueue::new(cfg.capacity),
-        cfg,
-        registry: Mutex::new(Registry::default()),
-        wait_hist: Mutex::new(Histogram::new()),
-        depth_hist: Mutex::new(Histogram::new()),
-        shutdown: AtomicBool::new(false),
-        started: Instant::now(),
-    });
+    let state = Arc::new(State::new(cfg));
 
     let acceptor = {
         let (server, state) = (server.clone(), state.clone());
@@ -353,20 +384,16 @@ fn submit(state: &State, body: &str) -> (u16, String, Option<u64>) {
     // Duplicate of an in-flight execution: alias, no queue slot burned.
     if let Some(&existing_id) = registry.by_key.get(&key) {
         if let Some(existing) = registry.record(existing_id) {
-            if !existing.status.is_terminal() {
-                let root = existing.dedup_of.unwrap_or(existing_id);
-                let status = existing.status;
+            if !registry.run_of(existing).0.is_terminal() {
                 let id = registry.jobs.len() as u64 + 1;
                 registry.jobs.push(JobRecord {
                     id,
                     request,
                     key,
-                    status,
-                    dedup_of: Some(root),
-                    outcome: None,
+                    run: Run::Alias(existing_id),
                 });
                 registry.dedup_hits += 1;
-                let rendered = render_job(registry.record(id).expect("just pushed"));
+                let rendered = render_job(&registry, registry.record(id).expect("just pushed"));
                 return (202, rendered, None);
             }
         }
@@ -381,12 +408,10 @@ fn submit(state: &State, body: &str) -> (u16, String, Option<u64>) {
                 id,
                 request,
                 key: key.clone(),
-                status: JobStatus::Queued,
-                dedup_of: None,
-                outcome: None,
+                run: Run::Own(JobStatus::Queued, None),
             });
             registry.by_key.insert(key, id);
-            let rendered = render_job(registry.record(id).expect("just pushed"));
+            let rendered = render_job(&registry, registry.record(id).expect("just pushed"));
             drop(registry);
             state.depth_hist.lock().unwrap().record(depth as u64);
             (202, rendered, None)
@@ -416,7 +441,7 @@ fn job_status(state: &State, id: &str) -> (u16, String, Option<u64>) {
     };
     let registry = state.registry.lock().unwrap();
     match registry.record(id) {
-        Some(record) => (200, render_job(record), None),
+        Some(record) => (200, render_job(&registry, record), None),
         None => (404, error_json(&format!("no job {id}")), None),
     }
 }
@@ -429,7 +454,7 @@ fn job_report(state: &State, id: &str) -> (u16, String, Option<u64>) {
     let Some(record) = registry.record(id) else {
         return (404, error_json(&format!("no job {id}")), None);
     };
-    match (record.status, &record.outcome) {
+    match registry.run_of(record) {
         (JobStatus::Done, Some(outcome)) => {
             let report: Value = serde_json::from_str(&outcome.report_json).unwrap_or(Value::Null);
             let body = Value::Object(vec![
@@ -438,7 +463,7 @@ fn job_report(state: &State, id: &str) -> (u16, String, Option<u64>) {
                 ("digest".into(), Value::Str(outcome.digest.clone())),
                 (
                     "dedup_of".into(),
-                    record.dedup_of.map(Value::UInt).unwrap_or(Value::Null),
+                    record.dedup_of().map(Value::UInt).unwrap_or(Value::Null),
                 ),
                 (
                     "store".into(),
@@ -451,18 +476,19 @@ fn job_report(state: &State, id: &str) -> (u16, String, Option<u64>) {
             ]);
             (200, serde_json::to_string(&body).expect("value"), None)
         }
-        (JobStatus::Failed, _) => (500, render_job(record), None),
+        (JobStatus::Failed, _) => (500, render_job(&registry, record), None),
         // Not finished: 409 with the current status so clients can poll.
-        _ => (409, render_job(record), None),
+        _ => (409, render_job(&registry, record), None),
     }
 }
 
-fn render_job(record: &JobRecord) -> String {
+fn render_job(registry: &Registry, record: &JobRecord) -> String {
+    let (status, outcome) = registry.run_of(record);
     let mut fields = vec![
         ("id".to_string(), Value::UInt(record.id)),
         (
             "status".to_string(),
-            Value::Str(record.status.as_str().to_string()),
+            Value::Str(status.as_str().to_string()),
         ),
         (
             "spec_seed".to_string(),
@@ -476,10 +502,10 @@ fn render_job(record: &JobRecord) -> String {
         ("key".to_string(), Value::Str(record.key.clone())),
         (
             "dedup_of".to_string(),
-            record.dedup_of.map(Value::UInt).unwrap_or(Value::Null),
+            record.dedup_of().map(Value::UInt).unwrap_or(Value::Null),
         ),
     ];
-    if let Some(outcome) = &record.outcome {
+    if let Some(outcome) = outcome {
         fields.push(("digest".into(), Value::Str(outcome.digest.clone())));
         fields.push(("store_hits".into(), Value::UInt(outcome.store_hits)));
         fields.push(("store_misses".into(), Value::UInt(outcome.store_misses)));
@@ -514,7 +540,7 @@ fn stats_json(state: &State) -> String {
         let registry = state.registry.lock().unwrap();
         let mut counts = [0u64; 4];
         for record in &registry.jobs {
-            let idx = match record.status {
+            let idx = match registry.run_of(record).0 {
                 JobStatus::Queued => 0,
                 JobStatus::Running => 1,
                 JobStatus::Done => 2,
@@ -599,14 +625,18 @@ pub fn report_digest(report: &PipelineReport) -> String {
     fp.finish().hex()
 }
 
+/// Marks execution `id` running (its aliases read this too) and returns
+/// its request.
+fn claim(state: &State, id: u64) -> Option<JobRequest> {
+    let mut registry = state.registry.lock().unwrap();
+    let record = registry.record_mut(id)?;
+    record.run = Run::Own(JobStatus::Running, None);
+    Some(record.request.clone())
+}
+
 fn execute(state: &State, id: u64) {
-    let request = {
-        let mut registry = state.registry.lock().unwrap();
-        let Some(record) = registry.record_mut(id) else {
-            return;
-        };
-        record.status = JobStatus::Running;
-        record.request.clone()
+    let Some(request) = claim(state, id) else {
+        return;
     };
 
     let spec = request.spec();
@@ -627,21 +657,21 @@ fn execute(state: &State, id: u64) {
                     )
                 })
                 .unwrap_or((0, 0, "null".to_string()));
-            Arc::new(JobOutcome {
+            JobOutcome {
                 digest: report_digest(&report),
                 store_hits: hits,
                 store_misses: misses,
                 report_json,
                 error: None,
-            })
+            }
         }
-        Err(err) => Arc::new(JobOutcome {
+        Err(err) => JobOutcome {
             digest: String::new(),
             store_hits: 0,
             store_misses: 0,
             report_json: "null".to_string(),
             error: Some(err.to_string()),
-        }),
+        },
     };
 
     let status = if outcome.error.is_some() {
@@ -649,17 +679,9 @@ fn execute(state: &State, id: u64) {
     } else {
         JobStatus::Done
     };
-    let mut registry = state.registry.lock().unwrap();
-    if let Some(record) = registry.record_mut(id) {
-        record.status = status;
-        record.outcome = Some(outcome.clone());
-    }
-    // Resolve every alias riding on this execution.
-    for record in &mut registry.jobs {
-        if record.dedup_of == Some(id) && record.outcome.is_none() {
-            record.status = status;
-            record.outcome = Some(outcome.clone());
-        }
+    // Aliases riding on this execution read the outcome through it.
+    if let Some(record) = state.registry.lock().unwrap().record_mut(id) {
+        record.run = Run::Own(status, Some(outcome));
     }
 }
 
@@ -777,6 +799,38 @@ mod tests {
 
         server.stop();
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_alias_reads_its_execution_status_through() {
+        // No threads: requests go straight to the handlers.
+        let state = State::new(ServeConfig::new(temp_root("alias")));
+        let body = JobRequest {
+            spec_seed: 5,
+            priority: 5,
+            pristine: true,
+        }
+        .to_json();
+        assert_eq!(submit(&state, &body).0, 202);
+        // Admitted while its execution is still queued.
+        let (code, alias, _) = submit(&state, &body);
+        assert_eq!(code, 202);
+        let alias: Value = serde_json::from_str(&alias).unwrap();
+        assert_eq!(str_field(&alias, "status"), "queued");
+        assert_eq!(num_field(&alias, "dedup_of"), 1);
+
+        // A worker claims the execution: the alias follows it.
+        claim(&state, 1).expect("job 1 admitted");
+        let (code, alias, _) = job_status(&state, "2");
+        assert_eq!(code, 200);
+        let alias: Value = serde_json::from_str(&alias).unwrap();
+        assert_eq!(str_field(&alias, "status"), "running");
+        assert_eq!(job_report(&state, "2").0, 409, "not finished yet");
+        let stats: Value = serde_json::from_str(&stats_json(&state)).unwrap();
+        let jobs = stats.field("jobs").unwrap();
+        assert_eq!(num_field(jobs, "running"), 2);
+        assert_eq!(num_field(jobs, "queued"), 0);
+        assert_eq!(num_field(jobs, "dedup_hits"), 1);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl Histogram {
         self.max
     }
 
-    /// Per-bucket counts, lowest bucket first.
-    pub fn bucket_counts(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.counts
-    }
-
     /// Folds another histogram into this one. Merging is associative and
     /// commutative: bucket counts, counts and sums add; min/max take the
     /// extremes. `merge(a, merge(b, c)) == merge(merge(a, b), c)`.

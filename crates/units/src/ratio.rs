@@ -22,9 +22,6 @@ impl Ratio {
     /// The zero ratio.
     pub const ZERO: Self = Self(0.0);
 
-    /// Ratio of one (no deviation, no overhead).
-    pub const ONE: Self = Self(1.0);
-
     /// Builds a ratio from a percentage (`50.0` → `Ratio(0.5)`).
     #[inline]
     pub fn from_percent(pct: f64) -> Self {

@@ -6,9 +6,11 @@
 //!
 //! Runs a seeded campaign, prints the deterministic JSON
 //! [`ConformanceReport`](hifi_conformance::ConformanceReport) to stdout and
-//! a one-line summary to stderr, and exits 1 if any oracle failed. The
-//! report is a pure function of `(--runs, --seed)` — thread count changes
-//! wall time, never bytes.
+//! a one-line summary to stderr (plus the store's counters when a store
+//! is open), and exits 1 if any oracle failed. The report is a pure
+//! function of `(--runs, --seed)` — thread count changes wall time, never
+//! bytes. Campaign runs build no fault plan, so there is no fault line;
+//! fault counters are per run (`RunReport::faults`), never process-wide.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -56,16 +58,15 @@ fn main() -> ExitCode {
     }
 
     let store_before = hifi_store::stats::snapshot();
-    let faults_before = hifi_faults::stats::snapshot();
     let report = match threads {
         Some(t) => rayon::with_num_threads(t, || run_campaign(&cfg)),
         None => run_campaign(&cfg),
     };
     println!("{}", report.to_json());
     eprintln!("{}", report.summary_line());
-    // Infrastructure one-liners (stderr, like quickstart's): what the
-    // campaign's runs did to the artifact store and the fault layer. The
-    // JSON report on stdout stays a pure function of (--runs, --seed).
+    // Infrastructure one-liner (stderr, like quickstart's): what the
+    // campaign's runs did to the artifact store. The JSON report on stdout
+    // stays a pure function of (--runs, --seed).
     let store_enabled =
         cfg.store.is_some() || std::env::var_os("HIFI_STORE").is_some_and(|v| !v.is_empty());
     if store_enabled {
@@ -73,10 +74,6 @@ fn main() -> ExitCode {
             "{}",
             hifi_store::stats::snapshot().since(&store_before).summary()
         );
-    }
-    let fault_delta = hifi_faults::stats::snapshot().since(&faults_before);
-    if fault_delta.any() {
-        eprintln!("{}", fault_delta.summary());
     }
     for failure in &report.failures {
         eprintln!(

@@ -9,10 +9,8 @@
 //! stdout and a one-line summary to stderr, and exits 1 if any device's
 //! inference disagreed with ground truth or with the imaging route. The
 //! report is a pure function of `(--runs, --seed, --no-imaging)` — thread
-//! count changes wall time, never bytes.
-//!
-//! `HIFI_REV_SEED` and `HIFI_REV_RUNS` set the defaults (flags win), so
-//! CI matrices can vary the campaign without editing scripts.
+//! count changes wall time, never bytes. Only flags set the campaign; CI
+//! matrices vary it through `--seed` and `--runs`.
 
 use std::process::ExitCode;
 
@@ -20,12 +18,6 @@ use hifi_rev::{run_rev_campaign, RevCampaignConfig};
 
 fn main() -> ExitCode {
     let mut cfg = RevCampaignConfig::default();
-    if let Some(seed) = env_parse("HIFI_REV_SEED") {
-        cfg.seed = seed;
-    }
-    if let Some(runs) = env_parse("HIFI_REV_RUNS") {
-        cfg.runs = runs;
-    }
     let mut threads: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -78,17 +70,6 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
-    if raw.is_empty() {
-        return None;
-    }
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => die(&format!("{name} must parse, got {raw:?}")),
     }
 }
 

@@ -16,6 +16,7 @@ use hifi_circuit::topology::SaTopologyKind;
 use hifi_dram::pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineReport};
 use hifi_faults::{retry, FaultKind, FaultSpec, RetryError, RetryPolicy, VirtualClock};
 use hifi_imaging::ImagingConfig;
+use hifi_telemetry::names;
 
 /// The fault seed under test: `HIFI_FAULT_SEED` when set (the CI matrix
 /// job exports 3 different values), else a fixed default.
@@ -115,6 +116,40 @@ fn recoverable_plan_is_invisible_in_the_report() {
         f.recovered > 0 && f.retried >= f.recovered,
         "recoveries consistent: {f:?}"
     );
+}
+
+/// One ledger charges every backoff: on a faulted imaged run the
+/// `fault.backoff_delay_us` histogram holds one sample per counted retry,
+/// slice re-acquisitions, stage retries and store I/O retries alike, and
+/// `fault.backoff_ms` is their sum.
+#[test]
+fn every_counted_retry_is_one_backoff_sample() {
+    let root = temp_root("ledger");
+    let report = Pipeline::new(
+        imaged_config()
+            .with_store(&root)
+            .with_faults(recoverable_spec()),
+    )
+    .run_instrumented()
+    .expect("faulted run");
+    let telemetry = report.telemetry.expect("telemetry populated");
+    let retried = telemetry.counter(names::FAULT_RETRIED);
+    assert!(retried > 0, "seed {}: the plan must retry", fault_seed());
+    let delays = telemetry
+        .histogram(names::HIST_FAULT_BACKOFF_US)
+        .expect("backoff samples");
+    assert_eq!(delays.count, retried, "seed {}", fault_seed());
+    let waited_us = telemetry
+        .gauges
+        .iter()
+        .find(|g| g.name == names::FAULT_BACKOFF_MS)
+        .map_or(0.0, |g| g.last * 1e3);
+    let (fewest, most) = (delays.count * delays.min, delays.count * delays.max);
+    assert!(
+        (fewest as f64..=most as f64).contains(&waited_us),
+        "backoff_ms {waited_us} us outside [{fewest}, {most}] us"
+    );
+    let _ = fs::remove_dir_all(&root);
 }
 
 /// The same invisibility must hold through the artifact store: a cold
