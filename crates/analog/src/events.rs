@@ -563,13 +563,30 @@ fn report_from(
 /// outside the tests that compare it with a reference.
 type Engine = fn(&MnaTransient, &MnaCircuit, &Stimulus) -> Result<MnaRun, SimError>;
 
+/// Where an activation's transient ends.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// After the final precharge: the whole Fig. 2c / Fig. 9b sequence,
+    /// for every caller that reads waveforms. The final precharge is the
+    /// only phase that exercises the equaliser.
+    Precharged,
+    /// At the end of restore, where the verdict is read: the sweeps, which
+    /// read only the verdict, the split time and the solve counters. The
+    /// read time is a corner of every drive, so it is already a breakpoint
+    /// of the full run, and the step control is causal: the stopped run is
+    /// a bit-identical prefix of the full one.
+    Read,
+}
+
 /// The one activation path: infers the SA roles of a bare netlist, attaches
-/// the MAT-column testbench and runs the matching schedule on `engine`.
+/// the MAT-column testbench and runs the matching schedule on `engine`
+/// until `stop`.
 fn activate(
     mut nl: Netlist,
     cfg: &ActivationConfig,
     stored_one: bool,
     engine: Engine,
+    stop: Stop,
 ) -> Result<SenseReport, SimError> {
     let roles = SaRoles::infer(&nl)?;
     attach_testbench(&mut nl, &roles, cfg);
@@ -579,7 +596,11 @@ fn activate(
         circuit = circuit.with_vt_offset(&roles.offset_device, Volts(cfg.nsa_vt_offset))?;
     }
     let stored_v = if stored_one { cfg.vdd } else { 0.0 };
-    let mut tr = MnaTransient::new(marks.t_end)
+    let t_end = match stop {
+        Stop::Precharged => marks.t_end,
+        Stop::Read => marks.t_restore_end,
+    };
+    let mut tr = MnaTransient::new(t_end)
         .with_initial(&roles.bl, Volts(cfg.vpre))
         .with_initial(&roles.blb, Volts(cfg.vpre))
         .with_initial(&format!("SN0_{}", roles.bl), Volts(stored_v))
@@ -637,6 +658,25 @@ pub fn try_simulate(
         cfg,
         stored_one,
         MnaTransient::run,
+        Stop::Precharged,
+    )
+}
+
+/// [`try_simulate`] stopped at the read time, the end of restore: the
+/// activation of every sweep. Its verdict, split time, charge-sharing
+/// onset and restored level are the full run's, and its traces a prefix of
+/// the full run's.
+pub(crate) fn simulate_to_read(
+    kind: SaTopologyKind,
+    cfg: &ActivationConfig,
+    stored_one: bool,
+) -> Result<SenseReport, SimError> {
+    activate(
+        canonical_netlist(kind, cfg.dims.clone()),
+        cfg,
+        stored_one,
+        MnaTransient::run,
+        Stop::Read,
     )
 }
 
@@ -657,7 +697,13 @@ pub fn simulate_extracted_activation(
     cfg: &ActivationConfig,
     stored_one: bool,
 ) -> Result<SenseReport, SimError> {
-    activate(netlist.clone(), cfg, stored_one, MnaTransient::run)
+    activate(
+        netlist.clone(),
+        cfg,
+        stored_one,
+        MnaTransient::run,
+        Stop::Precharged,
+    )
 }
 
 /// Sweeps threshold mismatch and returns the largest offset magnitude (in
@@ -667,7 +713,8 @@ pub fn simulate_extracted_activation(
 ///
 /// Classic SAs fail once the offset rivals the charge-sharing signal
 /// (tens of mV); OCSAs cancel the offset and tolerate much more — the reason
-/// the paper found them deployed in modern chips.
+/// the paper found them deployed in modern chips. Each activation stops at
+/// the read time, the end of restore.
 ///
 /// # Panics
 ///
@@ -687,7 +734,7 @@ pub fn max_tolerated_offset(
             for sign in [-1.0, 1.0] {
                 let mut c = cfg.clone();
                 c.nsa_vt_offset = sign * offset * 1e-3;
-                let rep = try_simulate(kind, &c, stored).expect("valid testbench");
+                let rep = simulate_to_read(kind, &c, stored).expect("valid testbench");
                 if !rep.correct {
                     all_ok = false;
                     break 'combo;
@@ -896,6 +943,60 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_activation_is_a_prefix_of_the_full_run() {
+        // A sweep's activation stops at the read time; up to it, it must be
+        // the full run bit for bit: the same traces and the same report.
+        let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for kind in [
+            SaTopologyKind::Classic,
+            SaTopologyKind::OffsetCancellation,
+            SaTopologyKind::ClassicWithIsolation,
+        ] {
+            // Samples up to the read time, and over the full run.
+            let samples = match kind {
+                SaTopologyKind::OffsetCancellation => (2601, 3201),
+                _ => (2201, 2801),
+            };
+            for offset_mv in [0.0, -30.0, 50.0, -90.0, 90.0] {
+                let cfg = ActivationConfig {
+                    nsa_vt_offset: offset_mv * 1e-3,
+                    ..ActivationConfig::default()
+                };
+                for stored in [false, true] {
+                    let case = format!("{kind} offset {offset_mv} mV stored={stored}");
+                    let read = simulate_to_read(kind, &cfg, stored).expect("valid testbench");
+                    let full = try_simulate(kind, &cfg, stored).expect("valid testbench");
+                    let verdict = |r: &SenseReport| {
+                        (
+                            r.correct,
+                            r.sensed_one,
+                            r.latch_split_time.map(f64::to_bits),
+                            r.charge_sharing_onset.map(f64::to_bits),
+                            r.restored_level.to_bits(),
+                        )
+                    };
+                    assert_eq!(verdict(&read), verdict(&full), "{case}");
+                    assert!(read.latch_split_time.is_some(), "{case}: no split");
+                    let (r, f) = (
+                        read.solve_stats.expect("stats"),
+                        full.solve_stats.expect("stats"),
+                    );
+                    assert!(r.steps < f.steps, "{case}: {r:?} vs {f:?}");
+                    assert_eq!(read.waveforms.nets().count(), full.waveforms.nets().count());
+                    for net in full.waveforms.nets() {
+                        let (a, b) = (
+                            read.waveforms.trace(net).expect("same nets"),
+                            full.waveforms.trace(net).expect("traced"),
+                        );
+                        assert_eq!((a.len(), b.len()), samples, "{case} net {net}");
+                        assert_eq!(bits(a), bits(&b[..a.len()]), "{case} net {net}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn free_node_solve_matches_the_full_mna_reference() {
         // The engine solves only the free-node block of each Newton step;
         // the reference solves every node voltage and branch current with a
@@ -916,7 +1017,8 @@ mod tests {
                     let [engine, reference] =
                         [MnaTransient::run, crate::mna::reference::run].map(|run| {
                             let nl = canonical_netlist(kind, cfg.dims.clone());
-                            activate(nl, &cfg, stored, run).expect("valid testbench")
+                            activate(nl, &cfg, stored, run, Stop::Precharged)
+                                .expect("valid testbench")
                         });
                     let (e, r) = (
                         engine.solve_stats.expect("stats"),
@@ -990,7 +1092,8 @@ mod tests {
                     let case = format!("{kind} offset {offset_mv} mV stored={stored}");
                     let [coarse, fine] = [MnaTransient::run as Engine, fine].map(|engine| {
                         let nl = canonical_netlist(kind, cfg.dims.clone());
-                        activate(nl, &cfg, stored, engine).expect("valid testbench")
+                        activate(nl, &cfg, stored, engine, Stop::Precharged)
+                            .expect("valid testbench")
                     });
                     assert_eq!(
                         (coarse.sensed_one, coarse.correct),

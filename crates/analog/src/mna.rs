@@ -11,16 +11,19 @@
 //! Each Newton iteration solves only the *free* nodes. A source's branch
 //! row pins its driven node, so the driven updates are known outright
 //! (`Δv_D = wf(t) − v_D`). The free-node block of the Jacobian is solved
-//! with `−J_FD·Δv_D` folded into its right-hand side, and each branch
-//! current update then follows from its driven node's KCL row
-//! (`Δi_B = −r_D − J_D·Δv`). That is the full system's Newton step, with
-//! the rows whose answer is known eliminated by hand. The Jacobian is
-//! analytic: its linear part `G + C/h` (gmin and resistors, plus the
-//! parasitic and capacitor companions at the step `h`) is restamped only
-//! when the step changes, and each iteration adds the MOSFETs' closed-form
+//! with `−J_FD·Δv_D` folded into its right-hand side. That is the full
+//! system's Newton step, with the rows whose answer is known eliminated by
+//! hand. No node update reads a branch current, so the branch currents
+//! are recovered on the converged iteration only, each from its driven
+//! node's KCL row (`Δi_B = −r_D − J_D·Δv`); Newton never damps that
+//! iteration, and a branch current's new value depends only on the last
+//! iterate. The Jacobian is analytic: its linear part `G + C/h` (gmin and
+//! resistors, plus the parasitic and capacitor companions at the step `h`)
+//! is restamped, on the entries where `G` or `C` is non-zero, only when the
+//! step changes, and each iteration adds the MOSFETs' closed-form
 //! square-law partials ([`MosfetModel::channel_current_with_partials`]).
-//! After every accepted step a residual-only pass audits KCL on every node
-//! row, driven rows included.
+//! After every accepted step a residual-only pass, which evaluates no
+//! Jacobian, audits KCL on every node row, driven rows included.
 //!
 //! The step size follows the local truncation error. Newton starts each
 //! step from the straight line through the last two accepted points, and
@@ -491,6 +494,10 @@ impl MnaTransient {
             sys.newton_update(x, v_prev, dx)
                 .ok_or(SimError::SingularSystem { time_s: t_next })?;
             worst_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+            let converged = worst_dv < self.tol_v;
+            if converged {
+                sys.recover_branch_currents(dx);
+            }
             let scale = if worst_dv > self.damping_v {
                 self.damping_v / worst_dv
             } else {
@@ -499,7 +506,7 @@ impl MnaTransient {
             for (xi, di) in x.iter_mut().zip(&*dx) {
                 *xi += scale * di;
             }
-            if worst_dv < self.tol_v {
+            if converged {
                 return Ok(iters);
             }
         }
@@ -636,8 +643,12 @@ trait NewtonSystem {
     fn begin_step(&mut self, t_next: f64, h: f64);
     /// Writes the Newton update at `x` (node voltages, then branch
     /// currents) into `dx`; `v_prev` holds the last accepted node voltages.
-    /// `None` when the linearised system has no usable pivot.
+    /// The branch-current updates may be left at zero until the iteration
+    /// converges. `None` when the linearised system has no usable pivot.
     fn newton_update(&mut self, x: &[f64], v_prev: &[f64], dx: &mut [f64]) -> Option<()>;
+    /// Fills in the branch-current updates of the iteration that
+    /// converges, after [`NewtonSystem::newton_update`] wrote its `dx`.
+    fn recover_branch_currents(&mut self, dx: &mut [f64]);
     /// The largest KCL residual (A) over every node row at `x`.
     fn kcl_residual(&mut self, x: &[f64], v_prev: &[f64]) -> f64;
 }
@@ -656,14 +667,13 @@ struct NodeSystem<'a> {
     targets: Vec<f64>,
     /// The undriven nodes in index order: the rows and columns of `block`.
     free: Vec<usize>,
-    /// `G`: gmin and the resistors.
-    conductance: Vec<f64>,
-    /// `C`: the parasitics and the capacitors.
-    capacitance: Vec<f64>,
+    /// Every entry where `G` (gmin and the resistors) or `C` (the
+    /// parasitics and the capacitors) is non-zero, as `(index, g, c)`.
+    stamps: Vec<(usize, f64, f64)>,
     /// The step `linear` is stamped for.
     h: f64,
-    /// The Jacobian's linear part `G + C/h`, restamped when the step
-    /// changes.
+    /// The Jacobian's linear part `G + C/h`, restamped on `stamps` when the
+    /// step changes; every other entry stays +0.0.
     linear: Vec<f64>,
     /// ∂(current leaving the row's node)/∂v(the column's node) at the last
     /// assembled point.
@@ -696,6 +706,13 @@ impl<'a> NodeSystem<'a> {
                 matrix[row * n + col] += v;
             }
         }
+        let stamps = conductance
+            .into_iter()
+            .zip(capacitance)
+            .enumerate()
+            .filter(|&(_, (g, c))| g != 0.0 || c != 0.0)
+            .map(|(k, (g, c))| (k, g, c))
+            .collect();
         Self {
             circuit,
             n,
@@ -704,8 +721,7 @@ impl<'a> NodeSystem<'a> {
             driven,
             block: MnaSystem::new(free.len()),
             free,
-            conductance,
-            capacitance,
+            stamps,
             // No step yet: the first `begin_step` stamps `linear`.
             h: 0.0,
             linear: vec![0.0; n * n],
@@ -714,13 +730,16 @@ impl<'a> NodeSystem<'a> {
         }
     }
 
-    /// Evaluates `res` and `jac` at `x` (node voltages, then branch
-    /// currents); `v_prev` holds the node voltages of the last accepted
-    /// step.
-    fn assemble(&mut self, x: &[f64], v_prev: &[f64]) {
+    /// Evaluates `res` at `x` (node voltages, then branch currents), and
+    /// `jac` too when `JACOBIAN` is set; `v_prev` holds the node voltages
+    /// of the last accepted step. `res` comes out bit for bit the same
+    /// either way.
+    fn evaluate<const JACOBIAN: bool>(&mut self, x: &[f64], v_prev: &[f64]) {
         let (n, circuit, h) = (self.n, self.circuit, self.h);
         let (res, jac) = (&mut self.res, &mut self.jac);
-        jac.copy_from_slice(&self.linear);
+        if JACOBIAN {
+            jac.copy_from_slice(&self.linear);
+        }
         let geq_par = circuit.parasitic_f / h;
         for (i, r) in res.iter_mut().enumerate() {
             *r = circuit.gmin_siemens * x[i] + geq_par * (x[i] - v_prev[i]);
@@ -739,17 +758,21 @@ impl<'a> NodeSystem<'a> {
                     res[*b] -= i;
                 }
                 Element::Mosfet(m) => {
-                    let (i_ds, partials) =
-                        m.model
-                            .channel_current_with_partials(x[m.gate], x[m.source], x[m.drain]);
+                    let (vg, vs, vd) = (x[m.gate], x[m.source], x[m.drain]);
+                    let i_ds = if JACOBIAN {
+                        let (i_ds, partials) = m.model.channel_current_with_partials(vg, vs, vd);
+                        for (col, p) in [m.gate, m.source, m.drain].into_iter().zip(partials) {
+                            jac[m.drain * n + col] += p;
+                            jac[m.source * n + col] -= p;
+                        }
+                        i_ds
+                    } else {
+                        m.model.channel_current(vg, vs, vd)
+                    };
                     // Positive i_ds flows drain→source through the channel,
                     // i.e. leaves the drain node and enters the source node.
                     res[m.drain] += i_ds;
                     res[m.source] -= i_ds;
-                    for (col, p) in [m.gate, m.source, m.drain].into_iter().zip(partials) {
-                        jac[m.drain * n + col] += p;
-                        jac[m.source * n + col] -= p;
-                    }
                 }
             }
         }
@@ -764,9 +787,8 @@ impl NewtonSystem for NodeSystem<'_> {
     fn begin_step(&mut self, t_next: f64, h: f64) {
         if h != self.h {
             self.h = h;
-            let stamps = self.conductance.iter().zip(&self.capacitance);
-            for (l, (g, c)) in self.linear.iter_mut().zip(stamps) {
-                *l = g + c / h;
+            for &(k, g, c) in &self.stamps {
+                self.linear[k] = g + c / h;
             }
         }
         for (target, wf) in self.targets.iter_mut().zip(&self.waveforms) {
@@ -774,10 +796,11 @@ impl NewtonSystem for NodeSystem<'_> {
         }
     }
 
-    /// Assembles at `x` and solves the Newton step, each source branch
-    /// pinning its node to its target.
+    /// Assembles at `x` and solves the Newton step of the node voltages,
+    /// each source branch pinning its node to its target. The branch
+    /// current updates are left at zero.
     fn newton_update(&mut self, x: &[f64], v_prev: &[f64], dx: &mut [f64]) -> Option<()> {
-        self.assemble(x, v_prev);
+        self.evaluate::<true>(x, v_prev);
         let n = self.n;
         // Branch rows: v_D + Δv_D = wf(t).
         for (&d, &target) in self.driven.iter().zip(&self.targets) {
@@ -799,7 +822,13 @@ impl NewtonSystem for NodeSystem<'_> {
         for (&i, &dv) in self.free.iter().zip(dv_free) {
             dx[i] = dv;
         }
-        // Driven rows: J_D·Δv + Δi_B = −r_D.
+        dx[n..].fill(0.0);
+        Some(())
+    }
+
+    /// Driven rows at the last assembled point: `J_D·Δv + Δi_B = −r_D`.
+    fn recover_branch_currents(&mut self, dx: &mut [f64]) {
+        let n = self.n;
         let (dv, di) = dx.split_at_mut(n);
         for (&d, di) in self.driven.iter().zip(di) {
             let jac_row = &self.jac[d * n..(d + 1) * n];
@@ -808,11 +837,10 @@ impl NewtonSystem for NodeSystem<'_> {
                 .zip(&*dv)
                 .fold(-self.res[d], |acc, (j, v)| acc - j * v);
         }
-        Some(())
     }
 
     fn kcl_residual(&mut self, x: &[f64], v_prev: &[f64]) -> f64 {
-        self.assemble(x, v_prev);
+        self.evaluate::<false>(x, v_prev);
         self.res.iter().fold(0.0f64, |m, r| m.max(r.abs()))
     }
 }
@@ -885,6 +913,9 @@ pub(crate) mod reference {
             dx.copy_from_slice(self.sys.solve()?);
             Some(())
         }
+
+        /// The full solve already holds every branch current update.
+        fn recover_branch_currents(&mut self, _dx: &mut [f64]) {}
 
         fn kcl_residual(&mut self, x: &[f64], v_prev: &[f64]) -> f64 {
             let (circuit, sources, h, t_next) = (self.circuit, self.sources, self.h, self.t_next);
@@ -1018,6 +1049,8 @@ mod tests {
     use super::*;
     use hifi_circuit::{Polarity, TransistorClass, TransistorDims};
     use hifi_units::Nanometers;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn dims(w_over_l: f64) -> TransistorDims {
         TransistorDims::new(Nanometers(100.0 * w_over_l), Nanometers(100.0))
@@ -1041,6 +1074,10 @@ mod tests {
             self.inner.newton_update(x, v_prev, dx)
         }
 
+        fn recover_branch_currents(&mut self, dx: &mut [f64]) {
+            self.inner.recover_branch_currents(dx);
+        }
+
         fn kcl_residual(&mut self, x: &[f64], v_prev: &[f64]) -> f64 {
             self.accepted.push(self.step);
             self.inner.kcl_residual(x, v_prev)
@@ -1058,6 +1095,68 @@ mod tests {
         };
         tr.drive(circuit, &sources, sys).expect("run converges");
         accepted
+    }
+
+    #[test]
+    fn the_residual_only_audit_reads_the_assembled_residual() {
+        // Resistors, capacitors, both MOSFET polarities and four driven
+        // nodes, one of them ramping.
+        let mut circuit = MnaCircuit::new();
+        circuit
+            .add_resistor("IN", "A", 2e3)
+            .add_capacitor("A", "GND", Femtofarads(30.0))
+            .add_capacitor("A", "B", Femtofarads(5.0))
+            .add_mosfet("n", MosfetModel::new(Polarity::Nmos, 2.0), "G", "B", "A")
+            .add_mosfet("p", MosfetModel::new(Polarity::Pmos, 3.0), "B", "VDD", "C")
+            .add_capacitor("C", "GND", Femtofarads(12.0))
+            .add_resistor("C", "GND", 50e3);
+        let mut stim = Stimulus::new();
+        stim.hold("GND", Volts(0.0))
+            .hold("VDD", Volts(1.1))
+            .hold("G", Volts(1.4));
+        stim.ramp("IN", 0.2e-9, 0.6e-9, 0.0, 1.1);
+        let tr = MnaTransient::new(1e-9);
+        let sources = tr.sources(&circuit, &stim).expect("valid run");
+        let mut sys = NodeSystem::new(&circuit, &sources);
+        let (n, branches) = (circuit.node_names().len(), sources.len());
+        let worst = |res: &[f64]| res.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+
+        // At random points, driven rows included, bit for bit.
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..500 {
+            sys.begin_step(rng.gen_range(0.0..1e-9), rng.gen_range(5e-12..200e-12));
+            let x: Vec<f64> = (0..n + branches)
+                .map(|i| {
+                    if i < n {
+                        rng.gen_range(-0.2..1.4)
+                    } else {
+                        rng.gen_range(-1e-4..1e-4)
+                    }
+                })
+                .collect();
+            let v_prev: Vec<f64> = (0..n).map(|_| rng.gen_range(-0.2..1.4)).collect();
+            sys.evaluate::<true>(&x, &v_prev);
+            let assembled = worst(&sys.res);
+            assert_eq!(sys.kcl_residual(&x, &v_prev).to_bits(), assembled.to_bits());
+        }
+
+        // At a solved point the audit reads rounding noise; any branch
+        // current 1 pA off its recovered value breaks the 1e-15 A bound.
+        let t = 0.4e-9;
+        sys.begin_step(t, 5e-12);
+        let v_prev: Vec<f64> = (0..n).map(|i| 0.1 * i as f64).collect();
+        let mut x: Vec<f64> = v_prev.iter().copied().chain(vec![0.0; branches]).collect();
+        let mut dx = vec![0.0; x.len()];
+        tr.newton(&mut sys, &mut x, &v_prev, &mut dx, t)
+            .expect("converges");
+        let solved = sys.kcl_residual(&x, &v_prev);
+        assert!(solved < 1e-15, "residual {solved} A at the solution");
+        for k in 0..branches {
+            let mut off = x.clone();
+            off[n + k] += 1e-12;
+            let audit = sys.kcl_residual(&off, &v_prev);
+            assert!(audit > 1e-15, "branch {k} 1 pA off reads {audit} A");
+        }
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! The paper's §VI sensitivity analysis asks how much latch mismatch each SA
 //! family survives. This module answers it statistically: sample per-device
 //! threshold offsets from `N(0, σ·√2)` (pair mismatch is the difference of
-//! two `N(0, σ)` thresholds), run a full MNA activation per sample and
-//! stored value, and fold the verdicts into an [`McReport`].
+//! two `N(0, σ)` thresholds), run an MNA activation per sample and stored
+//! value, and fold the verdicts into an [`McReport`]. Each activation stops
+//! at the read time, the end of restore: the verdict and the split time are
+//! settled there, and the final precharge after it is a quarter of a
+//! classic activation's steps.
 //!
 //! Determinism is a hard contract, shared with the conformance campaigns:
 //! sample `i` derives its RNG seed from the sweep seed via SplitMix64
@@ -13,7 +16,7 @@
 //! sample list — so a report is a pure function of its [`McConfig`],
 //! bit-identical at any thread count.
 
-use crate::events::{try_simulate, ActivationConfig};
+use crate::events::{simulate_to_read, ActivationConfig};
 use crate::mna::SolveStats;
 use hifi_circuit::topology::SaTopologyKind;
 use hifi_telemetry::{names, Recorder};
@@ -86,6 +89,8 @@ pub struct McSample {
     /// Whether both stored values sensed correctly.
     pub correct: bool,
     /// Solver work summed over both activations (worst-case fields maxed).
+    /// Each activation ends at the read time, so this counts no step of
+    /// the final precharge.
     pub solve: SolveStats,
     /// Latch split time of the stored-1 activation (ps), when it split.
     pub split_ps: Option<f64>,
@@ -110,6 +115,8 @@ pub struct McReport {
     /// empirical tolerance edge.
     pub smallest_failing_offset_mv: Option<f64>,
     /// Solver work summed over every activation (worst-case fields maxed).
+    /// Each activation ends at the read time, so this counts no step of
+    /// the final precharge.
     pub solve: SolveStats,
 }
 
@@ -158,7 +165,7 @@ fn run_sample(cfg: &McConfig, index: usize) -> McSample {
     let mut solve = SolveStats::default();
     let mut split_ps = None;
     for stored in [false, true] {
-        let rep = try_simulate(cfg.topology, &activation, stored).expect("valid MC testbench");
+        let rep = simulate_to_read(cfg.topology, &activation, stored).expect("valid MC testbench");
         correct &= rep.correct;
         accumulate(&mut solve, &rep.solve_stats.unwrap_or_default());
         if stored {

@@ -4,12 +4,15 @@
 //! row per voltage-source branch, whose current is an extra unknown. A
 //! branch row pins its driven node outright, so the transient engine
 //! ([`crate::mna`]) never hands those rows to a solver: each Newton step
-//! takes the driven-node updates from the branch rows, solves the
-//! free-node block here — with the driven updates' coupling `−J_FD·Δv_D`
-//! already folded into the right-hand side — and recovers every branch
-//! current update from its driven node's KCL row afterwards. The Jacobian
-//! behind the block is analytic: a linear part stamped once per run plus
-//! the MOSFETs' closed-form square-law partials.
+//! takes the driven-node updates from the branch rows and solves the
+//! free-node block here, with the driven updates' coupling `−J_FD·Δv_D`
+//! already folded into the right-hand side. The branch currents never
+//! reach the solver: on the iteration that converges, each is recovered
+//! from its driven node's KCL row. The Jacobian behind the block is
+//! analytic: a linear part restamped, on its non-zero entries, when the
+//! step changes, plus the MOSFETs' closed-form square-law partials. The
+//! post-step KCL audit evaluates the residual alone, without the
+//! Jacobian.
 //!
 //! Sense-amplifier testbenches leave only a handful of free nodes (6 for the
 //! classic SA, 8 for the OCSA), so a dense row-major matrix with Gaussian

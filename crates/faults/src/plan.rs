@@ -308,12 +308,27 @@ fn hash_site(site: &str) -> u64 {
 }
 
 /// Maps `(lane, site, attempt)` to a uniform value in `[0, 1)`.
+///
+/// FNV-1a is nearly linear in its last input bytes, so its top bits for
+/// consecutive attempts at one site move together; the SplitMix64
+/// finaliser mixes every input bit into every output bit, which makes a
+/// site's attempts independent draws.
 fn unit_interval(lane: u64, site_hash: u64, attempt: u32) -> f64 {
     let mut h = fnv::FnvHasher::with_key(lane);
     h.write(&site_hash.to_le_bytes());
     h.write(&attempt.to_le_bytes());
     // Top 53 bits → the unit interval, like rand's f64 conversion.
-    (h.finish() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (splitmix64(h.finish()) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The SplitMix64 finaliser: a bijection on `u64` with full avalanche.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -363,6 +378,31 @@ mod tests {
             pattern(&a, FaultKind::StoreRead),
             "kinds must not share a decision stream"
         );
+    }
+
+    #[test]
+    fn a_sites_consecutive_attempts_are_independent() {
+        // Among the sites whose attempt 0 fails, attempt 1 must fail at the
+        // plan's rate again, not at a rate tied to attempt 0's draw.
+        let sites: Vec<String> = (0..10_000).map(|i| format!("slice:{i}")).collect();
+        for rate in [0.1, 0.3, 0.5, 0.7] {
+            let spec = FaultSpec::disabled()
+                .with_seed(5)
+                .with_rate(FaultKind::AcquireSlice, rate)
+                .with_max_consecutive(4);
+            let plan = FaultPlan::new(spec);
+            let fails =
+                |site: &str, attempt| plan.would_fail(FaultKind::AcquireSlice, site, attempt);
+            let first: Vec<&String> = sites.iter().filter(|s| fails(s, 0)).collect();
+            let both = first.iter().filter(|s| fails(s, 1)).count();
+            let conditional = both as f64 / first.len() as f64;
+            assert!(
+                (conditional - rate).abs() <= 0.04,
+                "rate {rate}: P(attempt 1 fails | attempt 0 failed) = {conditional:.3} \
+                 over {} sites",
+                first.len()
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //!    with sense-amp roles inferred from connectivity alone, reproduce the
 //!    same verdicts (the behavioural half of extraction fidelity),
 //! 3. **montecarlo** — a reduced Vt-mismatch sweep stays solver-healthy
-//!    (Newton far from the cap, KCL residuals at noise level) and the OCSA
-//!    never yields below the classic latch on the same noise draws.
+//!    (Newton far from the cap) and the OCSA never yields below the
+//!    classic latch on the same noise draws. Each sweep's detail prints its
+//!    accepted and rejected steps and Newton iterations.
+//!
+//! Every schedule, extract and montecarlo check also fails when its worst
+//! KCL residual exceeds 1e-15 A, the bound the engine's own tests pin.
 //!
 //! The report is a pure function of `(--seed, --samples, --sigma-mv)`;
 //! `--threads` changes wall time, never bytes.
@@ -110,6 +114,15 @@ fn main() -> ExitCode {
     }
 }
 
+/// Largest KCL residual (A) a check accepts.
+const KCL_BOUND_AMPS: f64 = 1e-15;
+
+/// Whether an activation sensed correctly with KCL intact, and its detail.
+fn activation_check(r: &hifi_dram::analog::events::SenseReport) -> (bool, String) {
+    let kcl = r.solve_stats.unwrap_or_default().worst_kcl_residual_amps;
+    (r.correct && kcl <= KCL_BOUND_AMPS, verdict_detail(r))
+}
+
 fn run_oracle(seed: u64, samples: usize, sigma_mv: f64) -> OracleReport {
     let cfg = ActivationConfig::default();
     let topologies = [SaTopologyKind::Classic, SaTopologyKind::OffsetCancellation];
@@ -120,7 +133,7 @@ fn run_oracle(seed: u64, samples: usize, sigma_mv: f64) -> OracleReport {
         for stored in [false, true] {
             let (passed, detail) = match hifi_dram::analog::events::try_simulate(kind, &cfg, stored)
             {
-                Ok(r) => (r.correct, verdict_detail(&r)),
+                Ok(r) => activation_check(&r),
                 Err(e) => (false, format!("simulation failed: {e}")),
             };
             checks.push(Check {
@@ -139,7 +152,7 @@ fn run_oracle(seed: u64, samples: usize, sigma_mv: f64) -> OracleReport {
             Ok(pipeline) => {
                 for stored in [false, true] {
                     let (passed, detail) = match pipeline.simulate_activation(&cfg, stored) {
-                        Ok(r) => (r.correct, verdict_detail(&r)),
+                        Ok(r) => activation_check(&r),
                         Err(e) => (false, format!("simulation failed: {e}")),
                     };
                     checks.push(Check {
@@ -164,17 +177,21 @@ fn run_oracle(seed: u64, samples: usize, sigma_mv: f64) -> OracleReport {
             seed,
             ..McConfig::new(kind, sigma_mv, samples)
         });
+        let solve = &sweep.solve;
         let healthy =
-            sweep.solve.max_newton_iterations < 50 && sweep.solve.worst_kcl_residual_amps < 1e-6;
+            solve.max_newton_iterations < 50 && solve.worst_kcl_residual_amps <= KCL_BOUND_AMPS;
         checks.push(Check {
             name: format!("montecarlo.{kind}"),
             passed: healthy,
             detail: format!(
-                "yield {:.0}% over {samples} samples @ σ={sigma_mv} mV; worst Newton {} iters, \
-                 worst KCL residual {:.2e} A",
+                "yield {:.0}% over {samples} samples @ σ={sigma_mv} mV; {} steps, {} rejected, \
+                 {} Newton iterations, worst Newton {} iters, worst KCL residual {:.2e} A",
                 sweep.yield_fraction * 100.0,
-                sweep.solve.max_newton_iterations,
-                sweep.solve.worst_kcl_residual_amps
+                solve.steps,
+                solve.rejected_steps,
+                solve.newton_iterations,
+                solve.max_newton_iterations,
+                solve.worst_kcl_residual_amps
             ),
         });
         yields.push(sweep.yield_fraction);
