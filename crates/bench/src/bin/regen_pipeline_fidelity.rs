@@ -1,13 +1,12 @@
 //! Regenerates the paper artefact; see `hifi_bench::regen`.
 //!
-//! When `HIFI_STORE` is set, the pipelines replay cached artifacts; the
-//! cache summary goes to **stderr** so the stdout snapshot stays
+//! When `HIFI_STORE` is set, the pipelines replay cached artifacts; their
+//! store summary goes to **stderr** so the stdout snapshot stays
 //! byte-identical with and without a store.
 fn main() {
-    let store_enabled = std::env::var_os("HIFI_STORE").is_some_and(|v| !v.is_empty());
-    let before = hifi_store::stats::snapshot();
-    println!("{}", hifi_bench::pipeline_fidelity());
-    if store_enabled {
-        eprintln!("{}", hifi_store::stats::snapshot().since(&before).summary());
+    let (snapshot, store) = hifi_bench::pipeline_fidelity();
+    println!("{snapshot}");
+    if let Some(line) = store {
+        eprintln!("{line}");
     }
 }

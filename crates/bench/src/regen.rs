@@ -551,12 +551,14 @@ pub fn modification_costs() -> String {
 }
 
 /// End-to-end fidelity: full FIB/SEM + post-processing + extraction run.
-pub fn pipeline_fidelity() -> String {
+/// Also returns the runs' store summary line
+/// ([`hifi_telemetry::RunReport::store_summary`]) when they used a store.
+pub fn pipeline_fidelity() -> (String, Option<String>) {
     let mut out = String::from("End-to-end pipeline fidelity (simulated FIB/SEM)\n\n");
     // The two topologies run independent pipelines; par_map keeps the
     // output lines in the classic-then-OCSA order the snapshot expects.
     let kinds = [SaTopologyKind::Classic, SaTopologyKind::OffsetCancellation];
-    let lines = rayon::par_map(&kinds, |&kind| {
+    let (lines, runs): (Vec<String>, Vec<_>) = rayon::par_map(&kinds, |&kind| {
         let imaging = ImagingConfig {
             dwell_us: 6.0,
             drift_sigma_px: 0.6,
@@ -565,14 +567,14 @@ pub fn pipeline_fidelity() -> String {
             ..ImagingConfig::default()
         };
         let report = Pipeline::new(PipelineConfig::with_imaging(kind, imaging))
-            .run()
+            .run_instrumented()
             .expect("pipeline runs");
         let total_correction: i32 = report
             .alignment_corrections
             .iter()
             .map(|(a, b)| a.abs() + b.abs())
             .sum();
-        format!(
+        let line = format!(
             "{kind}: identified={} devices={} worst-dim-dev={:.1}% drift-corrections={} px total\n",
             report
                 .identified
@@ -584,12 +586,15 @@ pub fn pipeline_fidelity() -> String {
                 .map(|d| d.as_percent())
                 .unwrap_or(f64::NAN),
             total_correction,
-        )
-    });
+        );
+        (line, report.telemetry.expect("instrumented run"))
+    })
+    .into_iter()
+    .unzip();
     for line in lines {
         out.push_str(&line);
     }
-    out
+    (out, hifi_telemetry::RunReport::store_summary(&runs))
 }
 
 /// Structured JSON run reports: both topologies through the pristine and

@@ -175,7 +175,8 @@ pub fn judge_with(spec: &ChipSpec, tol: &Tolerance, tamper: Option<&Tamper>) -> 
 /// a failure, which re-judges many nearby specs) replays warm stages
 /// bit-identically instead of recomputing them. The store takes no locks,
 /// so store-backed judging runs concurrently like any other (see
-/// `run_campaign`).
+/// `run_campaign`). Every sub-run is instrumented, so with `HIFI_TRACE`
+/// set the trace counts all of the judgement's store traffic.
 pub fn judge_in(
     spec: &ChipSpec,
     tol: &Tolerance,
@@ -299,7 +300,7 @@ pub fn judge_in(
         if let Some(root) = store {
             pristine_cfg = pristine_cfg.with_store(root);
         }
-        match Pipeline::new(pristine_cfg).run() {
+        match Pipeline::new(pristine_cfg).run_instrumented() {
             Ok(p) => {
                 let d = diff(&p.extraction.netlist, truth_netlist);
                 let ok = d.isomorphic && p.identified == Some(spec.topology);
@@ -504,7 +505,7 @@ fn pristine_worst_error_nm(
     }
     let pipeline = Pipeline::new(config);
     let report = pipeline
-        .run()
+        .run_instrumented()
         .map_err(|e| format!("pristine run at {}nm pitch failed: {e}", spec.voxel_nm))?;
     let region = pipeline.region();
     let truth = &region.ground_truth().cell.dims_by_class;

@@ -496,11 +496,9 @@ impl Pipeline {
                         let mut stack = stack;
                         with_span(rec, "normalize", |_| stack.normalize_brightness());
                         // Alignment first (registration uses median-filtered
-                        // copies internally), then light TV denoising.
-                        // Averaging along the milling axis is available
-                        // (`average_slices`) but blends across any residual
-                        // per-slice misalignment, so the default pipeline
-                        // relies on TV alone.
+                        // copies internally), then light TV denoising alone:
+                        // averaging along the milling axis would blend
+                        // across any residual per-slice misalignment.
                         let corrections = with_span(rec, "align", |rec| {
                             align_with(
                                 &mut stack,
@@ -600,6 +598,10 @@ impl Pipeline {
         let worst = measurement.worst_deviation(&region.ground_truth().cell.dims_by_class);
         if let Some(w) = &worst {
             rec.gauge(names::WORST_DIMENSION_DEVIATION, w.value());
+        }
+        let corrupt = ctx.store.as_ref().map_or(0, |s| s.corrupt_evictions());
+        if corrupt > 0 {
+            rec.counter(names::STORE_CORRUPT, corrupt);
         }
         if let Some(plan) = ctx.recovery.plan() {
             let t = plan.tally();

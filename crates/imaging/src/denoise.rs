@@ -286,31 +286,6 @@ pub fn denoise_profiled(
     });
 }
 
-/// Averages each slice with its neighbours along the milling direction
-/// (window `i−radius ..= i+radius`, clamped at the stack ends). Structures
-/// extend across consecutive slices, so this cuts shot noise by ≈√(2r+1)
-/// with **no in-plane erosion** — run it *after* alignment.
-pub fn average_slices(stack: &mut ImageStack, radius: usize) {
-    if radius == 0 || stack.len() < 2 {
-        return;
-    }
-    let n = stack.len();
-    let originals: Vec<SemImage> = stack.slices().to_vec();
-    for i in 0..n {
-        let lo = i.saturating_sub(radius);
-        let hi = (i + radius).min(n - 1);
-        let count = (hi - lo + 1) as f32;
-        let out = stack.slices_mut()[i].pixels_mut();
-        for (p, v) in out.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for s in &originals[lo..=hi] {
-                acc += s.pixels()[p];
-            }
-            *v = acc / count;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,8 +40,7 @@ mod sem;
 
 pub use align::{align, align_with, AlignMethod};
 pub use denoise::{
-    average_slices, chambolle_tv, chambolle_tv_with, denoise, denoise_profiled, median3x3,
-    TvScratch,
+    chambolle_tv, chambolle_tv_with, denoise, denoise_profiled, median3x3, TvScratch,
 };
 pub use reconstruct::{classify_pixel, reconstruct};
 pub use sem::{

@@ -156,6 +156,16 @@ impl JobRecord {
     }
 }
 
+/// The `/stats` `store` fields, each the sum of one per-run counter over
+/// this server's finished executions.
+const STORE_FIELDS: [(&str, &str); 5] = [
+    ("hits", names::STORE_HIT),
+    ("misses", names::STORE_MISS),
+    ("bytes_read", names::STORE_BYTES_READ),
+    ("bytes_written", names::STORE_BYTES_WRITTEN),
+    ("corrupt", names::STORE_CORRUPT),
+];
+
 #[derive(Default)]
 struct Registry {
     /// Records indexed by `id - 1`; ids are dense and start at 1.
@@ -166,6 +176,8 @@ struct Registry {
     dedup_hits: u64,
     /// Submissions refused with 429.
     rejected: u64,
+    /// Store counters of finished executions, in [`STORE_FIELDS`] order.
+    store: [u64; STORE_FIELDS.len()],
 }
 
 impl Registry {
@@ -524,6 +536,16 @@ fn error_json(msg: &str) -> String {
     .expect("value")
 }
 
+/// A JSON object of named counts.
+fn counts<'a>(fields: impl IntoIterator<Item = (&'a str, u64)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(name, n)| (name.into(), Value::UInt(n)))
+            .collect(),
+    )
+}
+
 fn summary_value(summary: &HistogramSummary) -> Value {
     Value::Object(vec![
         ("count".into(), Value::UInt(summary.count)),
@@ -536,9 +558,9 @@ fn summary_value(summary: &HistogramSummary) -> Value {
 }
 
 fn stats_json(state: &State) -> String {
-    let (total, queued, running, done, failed, dedup_hits, rejected) = {
+    let (jobs, store) = {
         let registry = state.registry.lock().unwrap();
-        let mut counts = [0u64; 4];
+        let mut by_status = [0u64; 4];
         for record in &registry.jobs {
             let idx = match registry.run_of(record).0 {
                 JobStatus::Queued => 0,
@@ -546,19 +568,21 @@ fn stats_json(state: &State) -> String {
                 JobStatus::Done => 2,
                 JobStatus::Failed => 3,
             };
-            counts[idx] += 1;
+            by_status[idx] += 1;
         }
-        (
-            registry.jobs.len() as u64,
-            counts[0],
-            counts[1],
-            counts[2],
-            counts[3],
-            registry.dedup_hits,
-            registry.rejected,
-        )
+        let [queued, running, done, failed] = by_status;
+        let jobs = counts([
+            ("total", registry.jobs.len() as u64),
+            ("queued", queued),
+            ("running", running),
+            ("done", done),
+            ("failed", failed),
+            ("dedup_hits", registry.dedup_hits),
+            ("rejected", registry.rejected),
+        ]);
+        let store = counts(STORE_FIELDS.iter().map(|f| f.0).zip(registry.store));
+        (jobs, store)
     };
-    let store = hifi_store::stats::snapshot();
     let wait = state
         .wait_hist
         .lock()
@@ -578,28 +602,8 @@ fn stats_json(state: &State) -> String {
             "queue_depth".into(),
             Value::UInt(state.queue.depth() as u64),
         ),
-        (
-            "jobs".into(),
-            Value::Object(vec![
-                ("total".into(), Value::UInt(total)),
-                ("queued".into(), Value::UInt(queued)),
-                ("running".into(), Value::UInt(running)),
-                ("done".into(), Value::UInt(done)),
-                ("failed".into(), Value::UInt(failed)),
-                ("dedup_hits".into(), Value::UInt(dedup_hits)),
-                ("rejected".into(), Value::UInt(rejected)),
-            ]),
-        ),
-        (
-            "store".into(),
-            Value::Object(vec![
-                ("hits".into(), Value::UInt(store.hits)),
-                ("misses".into(), Value::UInt(store.misses)),
-                ("bytes_read".into(), Value::UInt(store.bytes_read)),
-                ("bytes_written".into(), Value::UInt(store.bytes_written)),
-                ("corrupt".into(), Value::UInt(store.corrupt)),
-            ]),
-        ),
+        ("jobs".into(), jobs),
+        ("store".into(), store),
         ("queue_wait_us".into(), summary_value(&wait)),
         ("queue_depth_seen".into(), summary_value(&depth)),
         ("uptime_ms".into(), Value::UInt(uptime_ms)),
@@ -644,24 +648,19 @@ fn execute(state: &State, id: u64) {
     if let Some(plan) = &state.cfg.faults {
         config = config.with_faults(plan.clone());
     }
+    // A failed run reports no counters, so its partial traffic is not
+    // summed into `/stats`.
+    let mut store = [0; STORE_FIELDS.len()];
     let outcome = match Pipeline::new(config).run_instrumented() {
         Ok(report) => {
-            let (hits, misses, report_json) = report
-                .telemetry
-                .as_ref()
-                .map(|t| {
-                    (
-                        t.counter(names::STORE_HIT),
-                        t.counter(names::STORE_MISS),
-                        t.to_json(),
-                    )
-                })
-                .unwrap_or((0, 0, "null".to_string()));
+            let telemetry = report.telemetry.as_ref();
+            let counter = |name: &str| telemetry.map_or(0, |t| t.counter(name));
+            store = STORE_FIELDS.map(|(_, name)| counter(name));
             JobOutcome {
                 digest: report_digest(&report),
-                store_hits: hits,
-                store_misses: misses,
-                report_json,
+                store_hits: counter(names::STORE_HIT),
+                store_misses: counter(names::STORE_MISS),
+                report_json: telemetry.map_or_else(|| "null".into(), |t| t.to_json()),
                 error: None,
             }
         }
@@ -679,8 +678,12 @@ fn execute(state: &State, id: u64) {
     } else {
         JobStatus::Done
     };
+    let mut registry = state.registry.lock().unwrap();
+    for (sum, n) in registry.store.iter_mut().zip(store) {
+        *sum += n;
+    }
     // Aliases riding on this execution read the outcome through it.
-    if let Some(record) = state.registry.lock().unwrap().record_mut(id) {
+    if let Some(record) = registry.record_mut(id) {
         record.run = Run::Own(status, Some(outcome));
     }
 }

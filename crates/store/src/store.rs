@@ -15,7 +15,8 @@
 //! concurrent writers of the *same* key race benignly (identical content)
 //! and readers never observe a half-written object. Corrupted blobs are
 //! detected by checksum, evicted, and reported as a miss — the pipeline
-//! recomputes instead of failing.
+//! recomputes instead of failing — and the handle that evicted them counts
+//! them ([`ArtifactStore::corrupt_evictions`]).
 
 use std::fs;
 use std::hash::Hasher;
@@ -28,7 +29,6 @@ use std::time::SystemTime;
 use hifi_faults::{FaultKind, FaultPlan};
 
 use crate::fingerprint::Key;
-use crate::stats;
 
 /// A store operation failure (I/O level, not corruption — corruption is
 /// handled internally by falling back to a miss).
@@ -146,6 +146,8 @@ pub struct ArtifactStore {
     /// read/write failures and in-memory blob corruption. `None` (the
     /// default) costs nothing on the hot paths.
     fault_plan: Option<Arc<FaultPlan>>,
+    /// Corrupt blobs this handle and its clones evicted.
+    corrupt: Arc<AtomicU64>,
 }
 
 impl ArtifactStore {
@@ -166,6 +168,7 @@ impl ArtifactStore {
         let store = Self {
             root: root.into(),
             fault_plan: None,
+            corrupt: Arc::default(),
         };
         let dir = store.objects_dir();
         fs::create_dir_all(&dir).map_err(|e| StoreError::io("open", &dir, &e))?;
@@ -193,6 +196,12 @@ impl ArtifactStore {
         &self.root
     }
 
+    /// Blobs that [`ArtifactStore::get`] evicted for failing their
+    /// checksum through this handle or a clone of it.
+    pub fn corrupt_evictions(&self) -> u64 {
+        self.corrupt.load(Ordering::Relaxed)
+    }
+
     fn objects_dir(&self) -> PathBuf {
         self.root.join("objects")
     }
@@ -204,9 +213,9 @@ impl ArtifactStore {
     /// Fetches the payload stored under `key`.
     ///
     /// Returns `Ok(None)` on a miss **or** on a corrupted blob (bad magic,
-    /// truncation, checksum mismatch) — the damaged object is evicted and
-    /// the caller recomputes. Only environmental I/O failures surface as
-    /// errors.
+    /// truncation, checksum mismatch) — the damaged object is evicted,
+    /// counted in [`ArtifactStore::corrupt_evictions`], and the caller
+    /// recomputes. Only environmental I/O failures surface as errors.
     ///
     /// # Errors
     ///
@@ -221,10 +230,7 @@ impl ArtifactStore {
         }
         let mut file = match fs::File::open(&path) {
             Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::NotFound => {
-                stats::record_miss();
-                return Ok(None);
-            }
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::io("get", &path, &e)),
         };
         let mut buf = Vec::new();
@@ -244,16 +250,13 @@ impl ArtifactStore {
                 // Recency only orders eviction, so a failed stamp (say, a
                 // read-only store) must not turn a hit into an error.
                 let _ = file.set_modified(SystemTime::now());
-                let payload = buf[payload_range].to_vec();
-                stats::record_hit(payload.len() as u64);
-                Ok(Some(payload))
+                Ok(Some(buf[payload_range].to_vec()))
             }
             None => {
                 // Corrupted: evict and report a miss so the stage recomputes.
                 drop(file);
                 let _ = fs::remove_file(&path);
-                stats::record_corrupt();
-                stats::record_miss();
+                self.corrupt.fetch_add(1, Ordering::Relaxed);
                 Ok(None)
             }
         }
@@ -307,9 +310,7 @@ impl ArtifactStore {
             // `list` skips temp names, so nothing else would reclaim it.
             let _ = fs::remove_file(&tmp);
         }
-        written?;
-        stats::record_write(payload.len() as u64);
-        Ok(())
+        written
     }
 
     /// Every blob in `objects/`: the key-named regular files. Temp files,
@@ -511,6 +512,9 @@ mod tests {
         fs::write(&path, &raw).expect("rewrite blob");
         assert_eq!(store.get(key).expect("get"), None, "corrupt blob must miss");
         assert!(!path.exists(), "corrupt blob must be evicted");
+        let reopened = ArtifactStore::open(store.root()).expect("reopen");
+        assert_eq!(store.clone().corrupt_evictions(), 1, "clones share it");
+        assert_eq!(reopened.corrupt_evictions(), 0, "other handles do not");
         // The store recovers: a re-put works and reads back.
         store.put(key, b"precious data").expect("re-put");
         assert!(store.get(key).expect("get").is_some());

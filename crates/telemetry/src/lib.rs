@@ -76,9 +76,13 @@ pub mod names {
     pub const PARALLEL_SPEEDUP_PREFIX: &str = "parallel.speedup.";
     /// Counter: pipeline stages served from the artifact store.
     pub const STORE_HIT: &str = "store.hit";
-    /// Counter: stage lookups that missed (or hit a corrupt, evicted blob)
-    /// and recomputed.
+    /// Counter: stage lookups that found no usable artifact (none stored,
+    /// a corrupt blob evicted, or a blob that did not decode) and
+    /// recomputed.
     pub const STORE_MISS: &str = "store.miss";
+    /// Counter: blobs the run's store handle evicted for failing their
+    /// checksum; recorded at the end of the run, only when non-zero.
+    pub const STORE_CORRUPT: &str = "store.corrupt";
     /// Counter: artifact payload bytes written to the store this run.
     pub const STORE_BYTES_WRITTEN: &str = "store.bytes_written";
     /// Counter: artifact payload bytes read from the store this run.

@@ -47,6 +47,40 @@ pub struct StoreTotals {
     pub bytes_written: u64,
 }
 
+impl StoreTotals {
+    /// The totals of the `store.*` counters, each read through `counter`.
+    pub(crate) fn from_counters(counter: impl Fn(&str) -> u64) -> Self {
+        Self {
+            hits: counter(crate::names::STORE_HIT),
+            misses: counter(crate::names::STORE_MISS),
+            bytes_read: counter(crate::names::STORE_BYTES_READ),
+            bytes_written: counter(crate::names::STORE_BYTES_WRITTEN),
+        }
+    }
+
+    /// One line: `store: 5 hits, 0 misses, 1.2 MiB read, 0 B written`,
+    /// plus `, N corrupt evicted` when `corrupt` (the `store.corrupt`
+    /// count, which these totals do not carry) is non-zero.
+    pub fn summary(&self, corrupt: u64) -> String {
+        let size = |bytes: u64| match bytes {
+            b if b >= 1 << 20 => format!("{:.1} MiB", b as f64 / f64::from(1 << 20)),
+            b if b >= 1 << 10 => format!("{:.1} KiB", b as f64 / f64::from(1 << 10)),
+            b => format!("{b} B"),
+        };
+        let corrupt = match corrupt {
+            0 => String::new(),
+            n => format!(", {n} corrupt evicted"),
+        };
+        format!(
+            "store: {} hits, {} misses, {} read, {} written{corrupt}",
+            self.hits,
+            self.misses,
+            size(self.bytes_read),
+            size(self.bytes_written)
+        )
+    }
+}
+
 /// Cross-run cost profile; see the module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileSummary {
@@ -157,12 +191,7 @@ impl ProfileSummary {
             total_us,
             stages,
             histograms: hists.iter().map(|(n, h)| h.summarize(n)).collect(),
-            store: StoreTotals {
-                hits: counter(crate::names::STORE_HIT),
-                misses: counter(crate::names::STORE_MISS),
-                bytes_read: counter(crate::names::STORE_BYTES_READ),
-                bytes_written: counter(crate::names::STORE_BYTES_WRITTEN),
-            },
+            store: StoreTotals::from_counters(counter),
             faults: FaultTotals {
                 injected: counter(crate::names::FAULT_INJECTED),
                 retried: counter(crate::names::FAULT_RETRIED),
@@ -315,10 +344,8 @@ impl ProfileSummary {
                 out.push_str(&format!("  {}\n", h.render()));
             }
         }
-        out.push_str(&format!(
-            "store: {} hits, {} misses, {} B read, {} B written\n",
-            self.store.hits, self.store.misses, self.store.bytes_read, self.store.bytes_written
-        ));
+        // The profile keeps no `store.corrupt` total (see `StoreTotals`).
+        out.push_str(&format!("{}\n", self.store.summary(0)));
         if self.faults.any() {
             out.push_str(&format!(
                 "faults: {} injected, {} retried, {} recovered, {} degraded\n",

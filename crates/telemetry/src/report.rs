@@ -4,6 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::hist::{Histogram, HistogramSummary};
+use crate::profile::StoreTotals;
 use crate::recorder::{Event, EventType};
 
 /// Echo of the pipeline configuration that produced a run, so a report is
@@ -357,6 +358,15 @@ impl RunReport {
         serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".into())
     }
 
+    /// The artifact-store traffic of `runs`, summed from their `store.*`
+    /// counters, as one [`StoreTotals::summary`] line. `None` when no run
+    /// looked anything up in a store.
+    pub fn store_summary(runs: &[RunReport]) -> Option<String> {
+        let sum = |name: &str| runs.iter().map(|r| r.counter(name)).sum::<u64>();
+        let totals = StoreTotals::from_counters(sum);
+        (totals.hits + totals.misses > 0).then(|| totals.summary(sum(crate::names::STORE_CORRUPT)))
+    }
+
     /// One-line human summary: total time, stage count, fidelity headline.
     pub fn summary_line(&self) -> String {
         let stages = self.stages.iter().filter(|s| s.depth == 0).count();
@@ -452,6 +462,26 @@ mod tests {
         assert!(line.contains("open_bitline"), "{line}");
         assert!(line.contains("2 stages"), "{line}");
         assert!(line.contains("voxel accuracy 0.970"), "{line}");
+    }
+
+    #[test]
+    fn store_summary_sums_runs_and_needs_a_lookup() {
+        let run = |counters: &[(&str, u64)]| {
+            let mut rec = JsonRecorder::new();
+            for &(name, n) in counters {
+                rec.counter(name, n);
+            }
+            RunReport::from_events(ConfigEcho::pristine("classic"), rec.events())
+        };
+        use crate::names::*;
+        let cold = run(&[(STORE_MISS, 1), (STORE_BYTES_WRITTEN, 2048)]);
+        let warm = run(&[(STORE_HIT, 5), (STORE_BYTES_READ, 3 << 20)]);
+        let evicted = run(&[(STORE_CORRUPT, 1)]);
+        assert_eq!(RunReport::store_summary(&[sample_report()]), None);
+        assert_eq!(
+            RunReport::store_summary(&[cold, warm, evicted]).as_deref(),
+            Some("store: 5 hits, 1 misses, 3.0 MiB read, 2.0 KiB written, 1 corrupt evicted")
+        );
     }
 
     #[test]

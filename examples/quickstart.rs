@@ -7,14 +7,14 @@
 
 use hifi_dram::circuit::topology::SaTopologyKind;
 use hifi_dram::pipeline::{Pipeline, PipelineConfig, PipelineError};
+use hifi_telemetry::RunReport;
 
 fn main() -> Result<(), PipelineError> {
     println!("HiFi-DRAM quickstart: generate -> voxelise -> extract -> identify\n");
 
     // With `HIFI_STORE=<dir>` set, the pipelines below replay cached
-    // stage artifacts; the delta of these counters is reported at the end.
-    let store_enabled = std::env::var_os("HIFI_STORE").is_some_and(|v| !v.is_empty());
-    let store_before = hifi_store::stats::snapshot();
+    // stage artifacts; their summed store traffic is reported at the end.
+    let mut runs: Vec<RunReport> = Vec::new();
 
     for kind in [SaTopologyKind::Classic, SaTopologyKind::OffsetCancellation] {
         let report = Pipeline::new(PipelineConfig::pristine(kind)).run_instrumented()?;
@@ -33,8 +33,9 @@ fn main() -> Result<(), PipelineError> {
                 worst.as_percent()
             );
         }
-        if let Some(telemetry) = &report.telemetry {
+        if let Some(telemetry) = report.telemetry.clone() {
             println!("telemetry          : {}", telemetry.summary_line());
+            runs.push(telemetry);
         }
         println!(
             "verdict            : {}\n",
@@ -70,8 +71,9 @@ fn main() -> Result<(), PipelineError> {
             .unwrap_or_else(|| "<no match>".into()),
         imaged.alignment_corrections.len()
     );
-    if let Some(telemetry) = &imaged.telemetry {
+    if let Some(telemetry) = imaged.telemetry {
         println!("telemetry          : {}\n", telemetry.summary_line());
+        runs.push(telemetry);
     }
 
     // The headline evaluation numbers, computed live from the dataset.
@@ -84,9 +86,8 @@ fn main() -> Result<(), PipelineError> {
         "Evaluation headline: CoolDRAM overhead error = {} (paper: 175x)",
         cool.overhead_error.expect("ddr4 paper").as_times()
     );
-    if store_enabled {
-        let delta = hifi_store::stats::snapshot().since(&store_before);
-        println!("{}", delta.summary());
+    if let Some(line) = RunReport::store_summary(&runs) {
+        println!("{line}");
     }
     Ok(())
 }

@@ -123,15 +123,21 @@ if [[ "$run_drift" -eq 1 ]]; then
 
     # Artifact-store round trip: the same regen suite against a throwaway
     # store must (a) leave the pinned stdout snapshots untouched on both
-    # the cold and the warm pass, (b) serve the warm pass entirely from
-    # cache, and (c) survive `hifi-store gc` with the snapshots intact.
+    # the cold and the warm pass, (b) recompute on the cold pass and serve
+    # the warm pass entirely from cache, both read from the runs' own
+    # `store: N hits, M misses, ...` line, and (c) survive `hifi-store gc`
+    # with the snapshots intact.
     echo "==> artifact store: cold + warm regen passes against a temp store"
     store_dir="$(mktemp -d)"
     trap 'rm -rf "$store_dir"' EXIT
+    misses_in() { sed -n 's/.* \([0-9]*\) misses.*/\1/p' <<< "$1"; }
     store_bins=(pipeline_fidelity measurements)
     for pass in cold warm; do
         for name in "${store_bins[@]}"; do
             summary="$(HIFI_STORE="$store_dir" "target/release/regen_${name}" 2>&1 >/dev/null || true)"
+            if [[ "$pass/$name" == cold/pipeline_fidelity ]]; then
+                cold_misses="$(misses_in "$summary")"
+            fi
             if ! HIFI_STORE="$store_dir" "target/release/regen_${name}" 2>/dev/null \
                     | diff -u "regen_outputs/${name}.txt" - > /dev/null; then
                 echo "STORE DRIFT  ${name} (${pass} pass changed the pinned snapshot)" >&2
@@ -140,8 +146,14 @@ if [[ "$run_drift" -eq 1 ]]; then
             echo "ok           ${name} (${pass} pass, snapshot intact)${summary:+  [$summary]}"
         done
     done
-    misses="$(HIFI_STORE="$store_dir" target/release/regen_pipeline_fidelity 2>&1 >/dev/null \
-        | sed -n 's/.* \([0-9]*\) misses.*/\1/p')"
+    # Without a cold miss the warm pass's 0 would prove nothing.
+    if [[ "${cold_misses:-0}" -lt 1 ]]; then
+        echo "cold regen pass reported no misses (${cold_misses:-no store summary})" >&2
+        exit 1
+    fi
+    echo "ok           cold pass recomputed (${cold_misses} misses)"
+    summary="$(HIFI_STORE="$store_dir" target/release/regen_pipeline_fidelity 2>&1 >/dev/null)"
+    misses="$(misses_in "$summary")"
     if [[ "${misses:-1}" -ne 0 ]]; then
         echo "warm regen pass was not fully cached (${misses:-?} misses)" >&2
         exit 1

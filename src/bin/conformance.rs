@@ -6,11 +6,12 @@
 //!
 //! Runs a seeded campaign, prints the deterministic JSON
 //! [`ConformanceReport`](hifi_conformance::ConformanceReport) to stdout and
-//! a one-line summary to stderr (plus the store's counters when a store
-//! is open), and exits 1 if any oracle failed. The report is a pure
-//! function of `(--runs, --seed)` — thread count changes wall time, never
-//! bytes. Campaign runs build no fault plan, so there is no fault line;
-//! fault counters are per run (`RunReport::faults`), never process-wide.
+//! a one-line summary to stderr, and exits 1 if any oracle failed. The
+//! report is a pure function of `(--runs, --seed)` — thread count changes
+//! wall time, never bytes. Store and fault counters are per run, never
+//! process-wide, and the campaign keeps no run reports: with
+//! `HIFI_TRACE=<path>` set, `hifi-trace summarize <path>.profile.json`
+//! prints the store totals of the campaign's instrumented runs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -57,24 +58,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let store_before = hifi_store::stats::snapshot();
     let report = match threads {
         Some(t) => rayon::with_num_threads(t, || run_campaign(&cfg)),
         None => run_campaign(&cfg),
     };
     println!("{}", report.to_json());
     eprintln!("{}", report.summary_line());
-    // Infrastructure one-liner (stderr, like quickstart's): what the
-    // campaign's runs did to the artifact store. The JSON report on stdout
-    // stays a pure function of (--runs, --seed).
-    let store_enabled =
-        cfg.store.is_some() || std::env::var_os("HIFI_STORE").is_some_and(|v| !v.is_empty());
-    if store_enabled {
-        eprintln!(
-            "{}",
-            hifi_store::stats::snapshot().since(&store_before).summary()
-        );
-    }
     for failure in &report.failures {
         eprintln!(
             "  run {} (seed {:#x}) failed [{}]: {} — shrunk to: {}",

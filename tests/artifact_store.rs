@@ -1,7 +1,7 @@
 //! Incremental execution through the content-addressed artifact store:
 //! hit/miss accounting in run telemetry, transparent recovery from
-//! corrupted blobs, key invalidation when the configuration changes, and
-//! the error path for an unusable store root.
+//! corrupted and undecodable blobs, key invalidation when the
+//! configuration changes, and the error path for an unusable store root.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -9,6 +9,9 @@ use std::path::{Path, PathBuf};
 use hifi_circuit::topology::SaTopologyKind;
 use hifi_dram::pipeline::{Pipeline, PipelineConfig, PipelineError};
 use hifi_imaging::ImagingConfig;
+use hifi_store::fingerprint::salts;
+use hifi_store::{spec_fingerprint, ArtifactStore};
+use hifi_telemetry::names;
 
 fn temp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("hifi-artifact-{}-{tag}", std::process::id()));
@@ -27,13 +30,17 @@ fn imaged_config(store: &Path) -> PipelineConfig {
     PipelineConfig::with_imaging(SaTopologyKind::Classic, imaging).with_store(store)
 }
 
-fn store_counters(report: &hifi_dram::pipeline::PipelineReport) -> (u64, u64, u64, u64) {
+fn counter(report: &hifi_dram::pipeline::PipelineReport, name: &str) -> u64 {
     let t = report.telemetry.as_ref().expect("telemetry populated");
+    t.counter(name)
+}
+
+fn store_counters(report: &hifi_dram::pipeline::PipelineReport) -> (u64, u64, u64, u64) {
     (
-        t.counter(hifi_telemetry::names::STORE_HIT),
-        t.counter(hifi_telemetry::names::STORE_MISS),
-        t.counter(hifi_telemetry::names::STORE_BYTES_READ),
-        t.counter(hifi_telemetry::names::STORE_BYTES_WRITTEN),
+        counter(report, names::STORE_HIT),
+        counter(report, names::STORE_MISS),
+        counter(report, names::STORE_BYTES_READ),
+        counter(report, names::STORE_BYTES_WRITTEN),
     )
 }
 
@@ -80,8 +87,9 @@ fn pristine_pipeline_caches_two_stages() {
 }
 
 /// Flipping bytes in every stored blob must not error or panic: each
-/// corrupted artifact is detected by checksum, evicted, recomputed, and
-/// re-persisted — and the rerun's report is unchanged.
+/// corrupted artifact is detected by checksum, evicted, counted as
+/// `store.corrupt`, recomputed, and re-persisted — and the rerun's report
+/// is unchanged.
 #[test]
 fn corrupted_blobs_are_recomputed_not_fatal() {
     let root = temp_root("corrupt");
@@ -111,6 +119,7 @@ fn corrupted_blobs_are_recomputed_not_fatal() {
     let recovered = pipeline.run_instrumented().expect("recovery run");
     let (hits, misses, _, written) = store_counters(&recovered);
     assert_eq!((hits, misses), (0, 5), "all blobs corrupt → all recomputed");
+    assert_eq!(counter(&recovered, names::STORE_CORRUPT), 5);
     assert!(written > 0, "recomputed artifacts re-persisted");
     assert_eq!(cold.identified, recovered.identified);
     assert_eq!(cold.measurement, recovered.measurement);
@@ -118,6 +127,33 @@ fn corrupted_blobs_are_recomputed_not_fatal() {
     // The re-persisted store serves the next run entirely from cache.
     let warm = pipeline.run_instrumented().expect("warm run");
     assert_eq!(store_counters(&warm).1, 0, "store healthy again");
+    assert_eq!(counter(&warm, names::STORE_CORRUPT), 0);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A blob that passes the store's checksum but does not decode (say, one
+/// written by an incompatible build) is a miss, not a hit: the stage
+/// recomputes and rewrites it, and the report is unchanged.
+#[test]
+fn undecodable_blob_is_a_miss_and_is_rewritten() {
+    let root = temp_root("undecodable");
+    let config = PipelineConfig::pristine(SaTopologyKind::Classic).with_store(&root);
+    let vox_key = hifi_store::stage(salts::VOXELIZE, spec_fingerprint(&config.spec)).finish();
+    let pipeline = Pipeline::new(config);
+    let cold = pipeline.run_instrumented().expect("cold run");
+    let store = ArtifactStore::open(&root).expect("open store");
+    store.put(vox_key, b"not a volume").expect("plant garbage");
+
+    let rerun = pipeline.run_instrumented().expect("rerun");
+    let (hits, misses, _, written) = store_counters(&rerun);
+    assert_eq!((hits, misses), (1, 1), "extract still hits");
+    assert!(written > 0, "the volume is rewritten");
+    assert_eq!(counter(&rerun, names::STORE_CORRUPT), 0, "checksum passed");
+    let blob = store.get(vox_key).expect("get").expect("rewritten");
+    assert!(hifi_store::codec::decode_volume(&blob).is_ok());
+    assert_eq!(cold.identified, rerun.identified);
+    assert_eq!(cold.device_count, rerun.device_count);
+    assert_eq!(cold.measurement, rerun.measurement);
     let _ = fs::remove_dir_all(&root);
 }
 

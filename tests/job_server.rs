@@ -1,7 +1,7 @@
 //! End-to-end tests of the `hifi-serve` job server over its HTTP API:
 //! submit/poll/report lifecycle, cross-tenant dedup with observable store
-//! hits, bounded-queue backpressure, and worker-count invariance of the
-//! per-job result digests.
+//! hits, per-server store counters, bounded-queue backpressure, and
+//! worker-count invariance of the per-job result digests.
 
 use std::fs;
 use std::net::SocketAddr;
@@ -101,6 +101,47 @@ fn lifecycle_and_completed_key_dedup_reports_store_hits() {
 
     server.stop();
     let _ = fs::remove_dir_all(&root);
+}
+
+/// `/stats` counts the store traffic of this server's finished jobs only:
+/// a second server in the same process starts at zero however busy the
+/// first was, and then reads the sums of its own executions' counters.
+#[test]
+fn stats_store_block_sums_this_servers_jobs() {
+    let store_stats = |addr| {
+        let stats = client::get(addr, "/stats").unwrap().json().unwrap();
+        stats.field("store").unwrap().clone()
+    };
+    let request = |seed| JobRequest {
+        spec_seed: run_seed(seed, 0),
+        priority: 4,
+        pristine: true,
+    };
+    let (root_a, root_b) = (temp_root("stats-a"), temp_root("stats-b"));
+    let a = hifi_serve::start(ServeConfig::new(&root_a).with_workers(1)).expect("start A");
+    for seed in [31, 32] {
+        wait_done(a.addr(), submit(a.addr(), &request(seed)));
+    }
+    assert!(num(&store_stats(a.addr()), "misses") > 0);
+
+    let b = hifi_serve::start(ServeConfig::new(&root_b).with_workers(1)).expect("start B");
+    let fresh = serde_json::to_string(&store_stats(b.addr())).unwrap();
+    let zeros = r#"{"hits":0,"misses":0,"bytes_read":0,"bytes_written":0,"corrupt":0}"#;
+    assert_eq!(fresh, zeros, "B before its first job");
+    // A cold then a warm execution of one spec on B.
+    let runs: Vec<Value> = (0..2)
+        .map(|_| wait_done(b.addr(), submit(b.addr(), &request(33))))
+        .filter(|run| run.field("dedup_of").unwrap() == &Value::Null)
+        .collect();
+    let sum = |field| runs.iter().map(|run| num(run, field)).sum::<u64>();
+    let store = store_stats(b.addr());
+    assert_eq!(num(&store, "hits"), sum("store_hits"), "{store:?}");
+    assert_eq!(num(&store, "misses"), sum("store_misses"), "{store:?}");
+    assert!(sum("store_hits") > 0 && sum("store_misses") > 0);
+
+    a.stop();
+    b.stop();
+    let _ = (fs::remove_dir_all(&root_a), fs::remove_dir_all(&root_b));
 }
 
 /// The same batch of specs must produce identical digests whether the

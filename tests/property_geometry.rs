@@ -153,3 +153,35 @@ proptest! {
         let _ = gds::read_library(&bytes);
     }
 }
+
+/// `gds::read_library` returns from every truncation of a written library
+/// and from every 2-byte window (each record length among them)
+/// overwritten with an inflated or undersized length: an error or a
+/// value, never a panic.
+#[test]
+fn damaged_gds_libraries_never_panic() {
+    let wire = Rect::from_origin_size(0, 0, 18, 900);
+    let gate = Rect::from_origin_size(9, 4, 5, 30);
+    let mut cell = Layout::new("SA");
+    cell.push(Element::new(Layer::Metal1, wire, ElementKind::Wire).with_label("BL0"));
+    cell.push(Element::new(Layer::Gate, gate, ElementKind::Gate));
+    let bytes = gds::write_library("hifi", &[cell, Layout::new("EMPTY")]).expect("encodes");
+    assert_eq!(gds::read_library(&bytes).expect("decodes").len(), 2);
+
+    let mut damaged: Vec<(String, Vec<u8>)> = (0..bytes.len())
+        .map(|n| (format!("truncated to {n} bytes"), bytes[..n].to_vec()))
+        .collect();
+    for len in [0xFFFFu16, 0x8000, 0x7FFF, 0x0005, 0x0002, 0] {
+        for at in 0..bytes.len() - 1 {
+            let mut bad = bytes.clone();
+            bad[at..at + 2].copy_from_slice(&len.to_be_bytes());
+            damaged.push((format!("length {len:#06x} at byte {at}"), bad));
+        }
+    }
+    let panicked: Vec<&String> = damaged
+        .iter()
+        .filter(|(_, bad)| std::panic::catch_unwind(|| gds::read_library(bad)).is_err())
+        .map(|(what, _)| what)
+        .collect();
+    assert!(panicked.is_empty(), "of {}: {panicked:#?}", damaged.len());
+}
